@@ -46,8 +46,7 @@ USAGE:
   dna serve [name=]<snap-file>... [--retain <n>] [--retain-bytes <n>]
             [--verify] [--quiet] [--shards <n>] [--socket <path>]
             [--listen <addr>] [--follow [name=]<trace-file>]...
-            [--threads per-session|single] [--metrics-interval <secs>]
-            [--coalesce <max>]
+            [--metrics-interval <secs>] [--coalesce <max>]
             [--checkpoint-dir <dir> [--checkpoint-every <n>] [--resume]]
   dna query [--session <name>] [--socket <path>] [--connect <addr>]
             [--prometheus] [--rates] <command>
@@ -81,9 +80,8 @@ after stdin ends. --follow tails a growing trace file (repeatable;
 name= targets a session, default the default session), ingesting each
 epoch as it completes and finishing when the trace's end sentinel is
 written. With --socket, --listen or --follow, sessions get one engine
-thread each (parallel bring-up, concurrent multi-session ingest);
---threads single falls back to one shared engine thread. --listen
-binds a TCP front door (e.g. 127.0.0.1:7700; port 0 picks a free port,
+thread each (parallel bring-up, concurrent multi-session ingest).
+--listen binds a TCP front door (e.g. 127.0.0.1:7700; port 0 picks a free port,
 announced on stderr): each connection is served by its own reader
 thread, and read-only queries (reach, reach-pair, blast, report,
 stats) are answered from the session's latest published read view —
@@ -686,7 +684,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             "socket",
             "listen",
             "shards",
-            "threads",
             "follow",
             "checkpoint-dir",
             "checkpoint-every",
@@ -719,15 +716,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let per_session = match args.flag("threads").unwrap_or("per-session") {
-        "per-session" => true,
-        "single" => false,
-        other => {
-            return Err(format!(
-                "--threads must be per-session|single, got {other:?}"
-            ))
-        }
-    };
     let quiet = args.has("quiet");
     // All operator-facing stderr below routes through dna_obs::log:
     // `info` lines honor --quiet, `announce` lines always print.
@@ -770,13 +758,8 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         return Err("--checkpoint-every needs --checkpoint-dir".into());
     }
     // Backlog epoch coalescing: 0/1 disables; N>=2 lets a flooded
-    // session merge up to N queued epochs into one engine commit. The
-    // drain lives in the per-session engine loop, so the shared-thread
-    // fallback cannot honor it — reject rather than silently ignore.
+    // session merge up to N queued epochs into one engine commit.
     let coalesce: usize = args.parsed("coalesce", 0)?;
-    if coalesce >= 2 && !per_session {
-        return Err("--coalesce needs --threads per-session (the default)".into());
-    }
     let config = SessionConfig {
         retain,
         retain_bytes,
@@ -888,7 +871,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         resumes,
         follows,
         FrontDoors { socket, listen },
-        per_session,
     )
 }
 
@@ -928,9 +910,8 @@ fn scan_checkpoints(
     Ok(out)
 }
 
-/// Opens every startup session into a single-threaded manager —
-/// fresh snapshots and checkpoint resumes alike — announcing each load
-/// (shared by pipe mode and `--threads single`).
+/// Opens every startup session into the inline (pipe-mode) manager —
+/// fresh snapshots and checkpoint resumes alike — announcing each load.
 fn open_preloaded(
     config: SessionConfig,
     preload: Vec<(String, Snapshot)>,
@@ -968,12 +949,10 @@ fn print_summary(summary: &dna_serve::ServeSummary) {
 }
 
 /// Channel mode (socket and/or follow pumps): pumps feed raw artifact
-/// text to the engine side over channels. With `--threads per-session`
-/// (the default) the engine side is a [`dna_serve::Router`] — one
-/// engine thread per session, so sessions load and ingest
-/// concurrently; with `--threads single` it is the PR-3 broker, every
-/// session on this thread. Runs until every pump is done (forever, in
-/// socket mode).
+/// text to the engine side over channels. The engine side is a
+/// [`dna_serve::Router`] — one engine thread per session, so sessions
+/// load and ingest concurrently. Runs until every pump is done
+/// (forever, in socket mode).
 #[cfg(unix)]
 fn serve_channels(
     config: SessionConfig,
@@ -981,7 +960,6 @@ fn serve_channels(
     resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
     follows: Vec<(Option<String>, String)>,
     doors: FrontDoors<'_>,
-    per_session: bool,
 ) -> Result<ExitCode, String> {
     use std::sync::mpsc;
     let FrontDoors { socket, listen } = doors;
@@ -995,47 +973,34 @@ fn serve_channels(
     // Engine bring-up happens BEFORE the socket exists or any pump
     // starts: a bad snapshot must fail the process while it is still
     // invisible to clients, not after they can connect.
-    enum Engine {
-        Router(dna_serve::Router),
-        Broker(SessionManager),
+    let mut router = dna_serve::Router::new(config);
+    if listen.is_some() {
+        router = router
+            .with_views(std::sync::Arc::clone(&views))
+            .with_notify_hub(std::sync::Arc::clone(&hub));
     }
-    let engine = if per_session {
-        let mut router = dna_serve::Router::new(config);
-        if listen.is_some() {
-            router = router
-                .with_views(std::sync::Arc::clone(&views))
-                .with_notify_hub(std::sync::Arc::clone(&hub));
-        }
-        let loaded: Vec<(String, usize)> = preload
-            .iter()
-            .map(|(n, s)| (n.clone(), s.device_count()))
-            .collect();
-        let resumed: Vec<(String, u64, usize)> = resumes
-            .iter()
-            .map(|(c, s)| (c.session.clone(), c.epochs, s.device_count()))
-            .collect();
-        router.preload(preload)?;
-        // All checkpointed sessions come back concurrently — one
-        // engine thread each, max-of-resumes wall-clock.
-        router.preload_checkpoints(resumes)?;
-        for (name, devices) in loaded {
-            dna_obs::log::info(&format!(
-                "dna serve: session {name:?} loaded ({devices} devices)"
-            ));
-        }
-        for (name, epochs, devices) in resumed {
-            dna_obs::log::info(&format!(
-                "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
-            ));
-        }
-        Engine::Router(router)
-    } else {
-        let mut mgr = open_preloaded(config, preload, resumes)?;
-        if listen.is_some() {
-            mgr.set_notify_hub(std::sync::Arc::clone(&hub));
-        }
-        Engine::Broker(mgr)
-    };
+    let loaded: Vec<(String, usize)> = preload
+        .iter()
+        .map(|(n, s)| (n.clone(), s.device_count()))
+        .collect();
+    let resumed: Vec<(String, u64, usize)> = resumes
+        .iter()
+        .map(|(c, s)| (c.session.clone(), c.epochs, s.device_count()))
+        .collect();
+    router.preload(preload)?;
+    // All checkpointed sessions come back concurrently — one
+    // engine thread each, max-of-resumes wall-clock.
+    router.preload_checkpoints(resumes)?;
+    for (name, devices) in loaded {
+        dna_obs::log::info(&format!(
+            "dna serve: session {name:?} loaded ({devices} devices)"
+        ));
+    }
+    for (name, epochs, devices) in resumed {
+        dna_obs::log::info(&format!(
+            "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
+        ));
+    }
     let listener = match socket {
         None => None,
         Some(path) => {
@@ -1110,11 +1075,7 @@ fn serve_channels(
         });
     }
     drop(tx);
-    let summary = match engine {
-        Engine::Router(router) => router.run(rx),
-        Engine::Broker(mut mgr) => dna_serve::run_broker(&mut mgr, rx),
-    };
-    print_summary(&summary);
+    print_summary(&router.run(rx));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1125,7 +1086,6 @@ fn serve_channels(
     _resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
     _follows: Vec<(Option<String>, String)>,
     _doors: FrontDoors<'_>,
-    _per_session: bool,
 ) -> Result<ExitCode, String> {
     Err("--socket/--listen/--follow require a unix platform".into())
 }
@@ -1301,6 +1261,9 @@ fn cmd_watch(rest: &[String]) -> Result<ExitCode, String> {
     };
     let stream = std::net::TcpStream::connect(addr)
         .map_err(|e| format!("cannot connect tcp {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot configure tcp {addr}: {e}"))?;
     (&stream)
         .write_all(write_query(&query).as_bytes())
         .map_err(|e| format!("cannot send subscribe to {addr}: {e}"))?;

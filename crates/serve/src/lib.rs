@@ -9,22 +9,28 @@
 //! against the evolving state, never re-simulating from scratch on the
 //! query path.
 //!
-//! Layers:
+//! One request path: every transport hands raw artifact text to the one
+//! classifier, one engine-side handler applies the work it names, and
+//! one of two executors (inline, or a thread per session) drives that.
 //!
-//! * [`session`] — [`Session`] (one live analysis: engine + optional
-//!   from-scratch verification shadow + bounded epoch history) and
-//!   [`SessionManager`] (named sessions, one per loaded snapshot);
-//! * [`server`] — artifact framing, the single-threaded serve loop over
-//!   any `BufRead`/`Write` pair (stdio pipes), the broker request type,
-//!   a unix-socket front-end, and file-tail ingest ([`follow_trace`]);
-//! * [`router`] — one engine thread *per session* behind the broker
-//!   seam: parallel session bring-up and concurrent multi-session
-//!   ingest with interleaved queries (the engine stays thread-local —
-//!   each session's engine lives and dies on its own thread);
+//! * [`session`] — [`Session`]: one live analysis (engine + optional
+//!   from-scratch verification shadow + bounded epoch history);
+//! * `classify.rs` — the only place an artifact is sniffed and a query
+//!   parsed, plus the session-naming rule;
+//! * [`engine`] — the engine-side handler, and the inline executor
+//!   [`SessionManager`] (pipe mode, the concurrency tests' oracle);
+//! * [`server`] — artifact framing, the inline serve loop over any
+//!   `BufRead`/`Write` pair (stdio pipes), the engine-channel request
+//!   type, a unix-socket front-end, file-tail ingest ([`follow_trace`]);
+//! * [`router`] — the threaded executor: one panic-fenced engine thread
+//!   *per session* behind the request channel — parallel bring-up and
+//!   concurrent multi-session ingest with interleaved queries (each
+//!   session's engine lives and dies on its own thread);
 //! * [`view`] — the published-snapshot read path: after every applied
 //!   epoch a session publishes an immutable [`QueryView`] behind an
 //!   atomic version counter, so reader threads answer read-only
-//!   queries without ever touching an engine thread;
+//!   queries (`read.rs`, the live session's own answer code) without
+//!   ever touching an engine thread;
 //! * [`subs`] — standing queries: per-session registries of
 //!   materialized subscriptions re-evaluated from each commit's diff,
 //!   plus the [`NotifyHub`] that fans pushed `notify` artifacts out to
@@ -34,9 +40,10 @@
 //!   threads answer read-only queries straight from published views,
 //!   forward everything else to the engine side, and stream pushed
 //!   notifies to subscribed clients (`dna watch`);
-//! * [`obs`] — the telemetry query surface: `metrics` / `trace`
-//!   queries answered from the process-global [`dna_obs`] registry and
-//!   span ring, byte-identically on every transport.
+//! * [`obs`] — the telemetry query surface: `metrics` / `trace` /
+//!   `health` / `history` queries answered from the process-global
+//!   [`dna_obs`] registry and span ring, byte-identically on every
+//!   transport.
 //!
 //! The wire protocol is `dna-io`'s `query`/`response` artifacts (see
 //! `crates/io/FORMAT.md`); the `dna serve` / `dna query` subcommands in
@@ -45,26 +52,42 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod classify;
+pub mod engine;
+mod env;
 pub mod net;
 pub mod obs;
+mod read;
 pub mod router;
 pub mod server;
 pub mod session;
 pub mod subs;
 pub mod view;
 
+/// Locks a mutex even when a previous holder panicked while holding
+/// it. Every mutex in this crate guards data that is valid at each
+/// instruction boundary — a pointer swap (view slots), one `Option`
+/// assignment (session info lines), queue bookkeeping (subscription
+/// registries, the notify hub), a socket writer whose connection is
+/// torn down on its next I/O error anyway — so poison carries no
+/// information, and must never turn one panic into a second: not a
+/// `sessions` listing, not the ingest path, not the engine's publish
+/// path, not a reader.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+pub use engine::SessionManager;
 pub use net::{query_tcp, tcp_accept_loop};
-pub use obs::{obs_reply, obs_reply_for};
-pub use router::{route_stream, Router};
+pub use router::Router;
 #[cfg(unix)]
 pub use server::{accept_loop, query_socket};
 pub use server::{
-    follow_trace, handle_artifact, pump_stream, pump_stream_as, read_artifact, run_broker,
-    serve_stream, subscription_reply, Request, ServeSummary,
+    follow_trace, handle_artifact, pump_stream, pump_stream_as, read_artifact, serve_stream,
+    Request, ServeSummary,
 };
 pub use session::{
     checkpoint_file_name, coalesced_label, resolve_checkpoint_snapshot, Session, SessionConfig,
-    SessionManager,
 };
 pub use subs::NotifyHub;
 pub use view::{QueryView, ViewReader, ViewRegistry, ViewSlot};

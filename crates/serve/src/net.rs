@@ -15,8 +15,8 @@
 //! checkpoints) and the queries a view cannot answer (`sessions`,
 //! `checkpoint`, the standing-query commands) are forwarded to the
 //! engine side over the usual [`Request`] channel. Responses are
-//! byte-identical either way: views replicate the session's answer
-//! logic and serialize through the same writer.
+//! byte-identical either way: views and sessions run the same answer
+//! code and serialize through the same writer.
 //!
 //! **Pushed notifies.** A connection that subscribes (`subscribe …`)
 //! is registered on the server's [`NotifyHub`]: a pusher thread drains
@@ -31,21 +31,15 @@
 //! polling, never pushed — subscribe before driving ingest when the
 //! push stream must be gapless from epoch zero.
 
-use crate::server::{read_artifact, Request};
+use crate::classify::{classify, Action, Classified, Target, Work};
+use crate::server::{read_artifact, submit, Request};
 use crate::subs::NotifyHub;
 use crate::view::{ViewReader, ViewRegistry};
-use dna_io::{parse_query, write_response, Artifact, QueryKind};
+use dna_io::{write_response, QueryKind};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-
-/// Recovers the shared socket-writer guard even when another writer
-/// panicked mid-write: the connection is torn down on the next I/O
-/// error anyway, so poison carries no information worth dying over.
-fn lock_writer<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Accepts TCP connections forever, serving each on its own thread.
 /// Holds a [`Request`] sender for as long as it runs, keeping the
@@ -92,25 +86,17 @@ pub fn serve_connection(
     hub: &Arc<NotifyHub>,
     stream: TcpStream,
 ) -> io::Result<u64> {
+    // Replies and pushed notifies are small whole artifacts a client is
+    // waiting on: Nagle + delayed ACK would stall a pipelining or
+    // watching client ~40 ms per write.
+    stream.set_nodelay(true)?;
     let mut input = io::BufReader::new(stream.try_clone()?);
     // The write half is shared with the pusher thread once the client
     // subscribes; both sides write whole artifacts under the lock, so
     // framing survives the interleaving.
     let writer = Arc::new(Mutex::new(io::BufWriter::new(stream)));
-    // Per-connection view caches, keyed by slot identity (slots live
-    // as long as the registry, so the pointer is a stable key): while
-    // a session's version is unchanged, answering takes zero locks.
-    let mut readers: BTreeMap<usize, ViewReader> = BTreeMap::new();
     let mut watcher: Option<u64> = None;
-    let result = connection_loop(
-        requests,
-        views,
-        hub,
-        &mut input,
-        &writer,
-        &mut readers,
-        &mut watcher,
-    );
+    let result = connection_loop(requests, views, hub, &mut input, &writer, &mut watcher);
     // Tear down the push registration (if any) however the loop ended;
     // the pusher thread wakes from its wait and exits.
     if let Some(w) = watcher {
@@ -120,47 +106,53 @@ pub fn serve_connection(
 }
 
 /// The request/reply half of one connection (see [`serve_connection`]).
-#[allow(clippy::too_many_arguments)]
 fn connection_loop(
     requests: &mpsc::Sender<Request>,
     views: &ViewRegistry,
     hub: &Arc<NotifyHub>,
     input: &mut io::BufReader<TcpStream>,
     writer: &Arc<Mutex<io::BufWriter<TcpStream>>>,
-    readers: &mut BTreeMap<usize, ViewReader>,
     watcher: &mut Option<u64>,
 ) -> io::Result<u64> {
+    // Per-connection view caches, keyed by slot identity (slots live
+    // as long as the registry, so the pointer is a stable key): while
+    // a session's version is unchanged, answering takes zero locks.
+    let mut readers: BTreeMap<usize, ViewReader> = BTreeMap::new();
     let mut served = 0u64;
     while let Some(text) = read_artifact(input)? {
         let started = std::time::Instant::now();
+        let Classified { action, query } = classify(&text, None);
         // Whether this artifact is a subscribe command — its reply (a
         // notify ack) carries the id to register on the hub.
-        let subscribing = dna_io::sniff(&text).is_ok_and(|(_, kind)| kind == Artifact::Query)
-            && parse_query(&text).is_ok_and(|q| matches!(q.kind, QueryKind::Subscribe(_)));
-        let reply = match answer_from_view(views, readers, &text) {
-            Some(response) => {
-                // Only the snapshot fast path is a "tcp" answer — a
+        let mut subscribing = false;
+        // Telemetry never needs a view (or even an open session), and a
+        // read-only query is answered from the session's published
+        // view when there is one; everything else — and every error
+        // story — belongs to the engine side.
+        let local = match action {
+            Action::Obs(reply) => Some(reply),
+            Action::Engine {
+                target: Target::Existing(session),
+                work: Work::Query(kind),
+            } => {
+                subscribing = matches!(*kind, QueryKind::Subscribe(_));
+                answer_from_view(views, &mut readers, session.as_deref(), &kind)
+            }
+            _ => None,
+        };
+        let reply = match local {
+            Some(reply) => {
+                // Only an answer given right here is a "tcp" answer — a
                 // query forwarded to the engine side is timed (and
                 // ringed) there, under its own scope.
-                crate::obs::record_query_span("tcp", &text, started.elapsed());
-                response
+                crate::obs::record_query_span("tcp", query, started.elapsed());
+                reply
             }
             None => {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if requests
-                    .send(Request {
-                        text,
-                        session: None,
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
+                let Some(reply) = submit(requests, text, None).and_then(|rx| rx.recv().ok()) else {
                     break; // engine side shut down
-                }
-                let Ok(response) = reply_rx.recv() else {
-                    break; // engine side shut down mid-request
                 };
-                response
+                reply
             }
         };
         if subscribing {
@@ -178,7 +170,7 @@ fn connection_loop(
             }
         }
         served += 1;
-        let mut output = lock_writer(writer);
+        let mut output = crate::lock(writer);
         output.write_all(reply.as_bytes())?;
         // One reply per artifact is the unit of interaction: flush
         // so clients are never left waiting on a full buffer.
@@ -193,7 +185,7 @@ fn connection_loop(
 fn spawn_pusher(hub: Arc<NotifyHub>, watcher: u64, writer: Arc<Mutex<io::BufWriter<TcpStream>>>) {
     std::thread::spawn(move || {
         while let Some(batch) = hub.wait(watcher) {
-            let mut output = lock_writer(&writer);
+            let mut output = crate::lock(&writer);
             let wrote = batch.iter().try_for_each(|artifact| {
                 output
                     .write_all(artifact.as_bytes())
@@ -208,33 +200,23 @@ fn spawn_pusher(hub: Arc<NotifyHub>, watcher: u64, writer: Arc<Mutex<io::BufWrit
     });
 }
 
-/// The snapshot read path: a query artifact whose session resolves to
-/// a published view, asking something the view can answer, is served
+/// The snapshot read path: a query whose session resolves to a
+/// published view, asking something the view can answer, is served
 /// right here. `None` sends the artifact to the engine side — which
-/// also owns every error story (malformed artifacts, unknown or
-/// failed sessions, not-yet-loaded sessions), so wire behavior is
-/// identical on both paths.
+/// also owns every error story (unknown or failed sessions,
+/// not-yet-loaded sessions), so wire behavior is identical on both
+/// paths.
 fn answer_from_view(
     views: &ViewRegistry,
     readers: &mut BTreeMap<usize, ViewReader>,
-    text: &str,
+    session: Option<&str>,
+    kind: &QueryKind,
 ) -> Option<String> {
-    let (_, kind) = dna_io::sniff(text).ok()?;
-    if kind != Artifact::Query {
-        return None;
-    }
-    let q = parse_query(text).ok()?;
-    // Telemetry queries never need a view (or even an open session):
-    // they read the process-global registry right on this thread.
-    if let Some(reply) = crate::obs::obs_reply_for(&q) {
-        return Some(reply);
-    }
-    let slot = views.resolve(q.session.as_deref())?;
+    let slot = views.resolve(session)?;
     let reader = readers.entry(Arc::as_ptr(&slot) as usize).or_default();
     let view = reader.current(&slot)?;
-    let response = view.answer(&q.kind)?;
-    let session = view.session().to_string();
-    views.note_served(&session);
+    let response = view.answer(kind)?;
+    views.note_served(view.session());
     Some(write_response(&response))
 }
 
@@ -243,6 +225,7 @@ fn answer_from_view(
 /// `dna query --connect`.
 pub fn query_tcp(addr: &str, query_text: &str) -> io::Result<String> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     (&stream).write_all(query_text.as_bytes())?;
     (&stream).flush()?;
     stream.shutdown(std::net::Shutdown::Write)?;

@@ -1,15 +1,13 @@
 //! The telemetry query surface: one serializer for every answer path.
 //!
-//! `metrics` and `trace` are **server-level** queries like `sessions` —
-//! they read the process-global [`dna_obs`] registry and span ring, not
-//! any one session's engine state, so every transport answers them
-//! without an engine-thread round trip: the single-stream loop
-//! ([`crate::serve_stream`]), the broker ([`crate::run_broker`]), the
-//! router, and the TCP connection threads ([`crate::net`]) all call
-//! [`obs_reply`] / [`obs_reply_for`] before normal dispatch. Because
-//! every path funnels through this one module, the engine path and the
-//! view path produce byte-identical artifacts for the same registry
-//! state.
+//! `metrics`, `trace`, `health` and `history` are **server-level**
+//! queries like `sessions` — they read the process-global [`dna_obs`]
+//! registry and span ring, not any one session's engine state, so they
+//! are answered without an engine-thread round trip: the one classifier
+//! every transport calls (`classify.rs`) renders the reply through
+//! [`obs_reply_for`] on whichever thread classified the query. One
+//! caller, one serializer: every transport produces byte-identical
+//! artifacts for the same registry state.
 //!
 //! A `session` line on the query narrows the scrape to that session's
 //! labeled series (process-wide series are always kept) — an unknown
@@ -17,7 +15,7 @@
 //! Prometheus-style scrape semantics where absence is data.
 
 use dna_io::{
-    write_health, write_history, write_metrics, write_spans, Artifact, HealthReport, HealthStatus,
+    write_health, write_history, write_metrics, write_spans, HealthReport, HealthStatus,
     HistogramRow, HistoryReport, HistorySample, MetricsReport, Query, QueryKind, SeriesRow,
     SessionHealth, SpanReport, SpanRow,
 };
@@ -46,39 +44,25 @@ pub fn obs_reply_for(q: &Query) -> Option<String> {
         // the same picture.
         QueryKind::Health => {
             let snap = dna_obs::global().snapshot(None);
-            let report = health_report(&snap, dna_obs::uptime_ms(), &Thresholds::from_env());
+            let report = health_report(&snap, dna_obs::uptime_ms(), crate::env::thresholds());
             Some(write_health(&report))
         }
         _ => None,
     }
 }
 
-/// Sniffs raw artifact text and answers it if it is a telemetry query;
-/// `None` otherwise (including malformed text — the normal dispatch
-/// path owns every error story, so wire behavior is unchanged for
-/// anything this module does not answer).
-pub fn obs_reply(text: &str) -> Option<String> {
-    let (_, kind) = dna_io::sniff(text).ok()?;
-    if kind != Artifact::Query {
-        return None;
-    }
-    obs_reply_for(&dna_io::parse_query(text).ok()?)
-}
-
 /// Records one answered query into the query plane: a
 /// `query_latency_us` observation labeled with the answer path
 /// (`tcp`/`broker`/`pipe` in the scope slot) plus a [`dna_obs::QuerySpan`]
-/// in the slow-query ring. Takes the raw artifact text — non-queries
-/// (and unparseable text) no-op, so transports can call it
+/// in the slow-query ring. Takes the classifier's query label —
+/// non-queries carry none and no-op, so transports can call it
 /// unconditionally after answering.
-pub(crate) fn record_query_span(transport: &'static str, text: &str, elapsed: std::time::Duration) {
-    let Ok((_, kind)) = dna_io::sniff(text) else {
-        return;
-    };
-    if kind != Artifact::Query {
-        return;
-    }
-    let Ok(q) = dna_io::parse_query(text) else {
+pub(crate) fn record_query_span(
+    transport: &'static str,
+    query: Option<(Option<String>, &'static str)>,
+    elapsed: std::time::Duration,
+) {
+    let Some((session, kind)) = query else {
         return;
     };
     let total_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
@@ -87,20 +71,23 @@ pub(crate) fn record_query_span(transport: &'static str, text: &str, elapsed: st
         .observe_ns(total_ns);
     dna_obs::query_spans().record(dna_obs::QuerySpan {
         transport,
-        session: q.session,
-        kind: q.kind.name(),
+        session,
+        kind,
         total_ns,
     });
+}
+
+fn series(s: &dna_obs::SeriesValue) -> SeriesRow {
+    SeriesRow {
+        name: s.name.clone(),
+        session: s.session.clone(),
+        value: s.value,
+    }
 }
 
 /// Converts a registry scrape into the canonical wire report,
 /// extracting the p50/p95/p99 summary from each histogram's buckets.
 pub fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
-    let series = |s: &dna_obs::SeriesValue| SeriesRow {
-        name: s.name.clone(),
-        session: s.session.clone(),
-        value: s.value,
-    };
     MetricsReport {
         counters: snap.counters.iter().map(series).collect(),
         gauges: snap.gauges.iter().map(series).collect(),
@@ -135,11 +122,6 @@ pub fn metrics_report(snap: &MetricsSnapshot) -> MetricsReport {
 /// array per series per tick would dwarf the scalar series), so the
 /// report carries counters and gauges only.
 pub fn history_report(samples: &[Sample]) -> HistoryReport {
-    let series = |s: &dna_obs::SeriesValue| SeriesRow {
-        name: s.name.clone(),
-        session: s.session.clone(),
-        value: s.value,
-    };
     HistoryReport {
         samples: samples
             .iter()
@@ -179,7 +161,8 @@ impl Default for Thresholds {
 
 impl Thresholds {
     /// The defaults overridden by any parseable `DNA_OBS_*` env vars
-    /// (unset or malformed values keep the default).
+    /// (unset or malformed values keep the default). The server reads
+    /// them once, on the first `health` query.
     pub fn from_env() -> Self {
         let var = |name: &str, default: u64| {
             std::env::var(name)
@@ -432,6 +415,15 @@ mod tests {
         let back = dna_io::parse_health(&text).expect("round-trips");
         assert_eq!(back, report);
         assert_eq!(write_health(&back), text, "canonical");
+    }
+
+    /// The classifier's telemetry answer for raw artifact text, if it
+    /// classified as one.
+    fn obs_reply(text: &str) -> Option<String> {
+        match crate::classify::classify(text, None).action {
+            crate::classify::Action::Obs(reply) => Some(reply),
+            _ => None,
+        }
     }
 
     #[test]

@@ -1,39 +1,37 @@
-//! Per-session engine threads behind the broker seam.
+//! Per-session engine threads behind the request channel.
 //!
-//! The dataflow engine is thread-local by design, so PR 3's broker ran
-//! *every* session on one engine thread — two sessions could never
-//! ingest concurrently. The router keeps the same outside contract
-//! (requests are raw artifact text plus a reply channel — see
-//! [`crate::server::Request`]) but gives each session its own engine
-//! thread: the router thread only parses and routes; session threads
-//! own their [`Session`] (engine state never crosses threads) and send
-//! serialized responses straight to the requesting client. Two clients
-//! ingesting into different sessions therefore run truly in parallel,
-//! with queries interleaving against both, while per-session ordering
-//! is preserved by each session's command channel. Session bring-up
-//! (the expensive initial analysis) also parallelizes: opening N
-//! sessions at startup runs N engine initializations concurrently.
+//! The dataflow engine is thread-local by design. The router keeps the
+//! outside contract simple (requests are raw artifact text plus a reply
+//! channel — see [`crate::server::Request`]) and gives each session its
+//! own engine thread: the router thread only classifies and routes;
+//! session threads own their `SessionCell` (engine state never
+//! crosses threads) and send serialized replies straight to the
+//! requesting client. Two clients ingesting into different sessions
+//! therefore run truly in parallel, with queries interleaving against
+//! both, while per-session ordering is preserved by each session's
+//! command channel. Session bring-up (the expensive initial analysis)
+//! also parallelizes: opening N sessions at startup runs N engine
+//! initializations concurrently.
 
+use crate::classify::{classify, Work};
+use crate::engine::{parse_trace_timed, Reply, SessionCell};
 use crate::server::{Request, ServeSummary};
 use crate::session::{Session, SessionConfig};
 use crate::subs::NotifyHub;
 use crate::view::{ViewRegistry, ViewSlot};
-use dna_io::{
-    parse_query, parse_snapshot, parse_trace, write_response, Artifact, Checkpoint, QueryKind,
-    Response, SessionInfo,
-};
+use dna_io::{Checkpoint, Response, SessionInfo};
 use net_model::Snapshot;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// One command on a session thread's channel. The reply is a
-/// serialized response artifact sent directly to the requesting
-/// client. Split from the work payload so the session loop always
-/// holds the reply sender *outside* the panic fence — whatever the
-/// engine does to the payload, the client gets an answer.
+/// serialized reply artifact sent directly to the requesting client.
+/// Split from the work payload so the session loop always holds the
+/// reply sender *outside* the panic fence — whatever the engine does
+/// to the payload, the client gets an answer.
 struct SessionCmd {
-    work: SessionWork,
+    work: Work,
     reply: mpsc::Sender<String>,
     /// When the router queued this command — the engine thread turns
     /// it into the `ingest_queue_wait_us` histogram at pickup.
@@ -47,21 +45,6 @@ struct SessionCmd {
     epochs_hint: u64,
 }
 
-impl SessionCmd {
-    fn new(work: SessionWork, reply: mpsc::Sender<String>) -> Self {
-        let epochs_hint = match &work {
-            SessionWork::IngestText(text) => count_epoch_lines(text),
-            _ => 0,
-        };
-        SessionCmd {
-            work,
-            reply,
-            enqueued: std::time::Instant::now(),
-            epochs_hint,
-        }
-    }
-}
-
 /// Counts the `epoch` lines of raw trace text — the enqueue-side hint
 /// behind the `epochs_behind` gauge. A scan, not a parse: routing must
 /// stay cheap, and the decrement uses the same stored hint, so an
@@ -71,45 +54,6 @@ fn count_epoch_lines(text: &str) -> u64 {
         .map(str::trim)
         .filter(|l| *l == "epoch" || l.starts_with("epoch "))
         .count() as u64
-}
-
-/// The engine-side payload of one [`SessionCmd`].
-enum SessionWork {
-    /// (Re)open the session over an already-parsed snapshot (preload).
-    Load(Box<Snapshot>),
-    /// (Re)open the session by resuming a checkpoint whose snapshot
-    /// source is already resolved (`--resume` preload and streamed
-    /// checkpoint artifacts).
-    Resume(Box<(Checkpoint, Snapshot)>),
-    /// Parse raw snapshot artifact text, then (re)open over it. Raw
-    /// text so the parse of a large artifact runs on this session's
-    /// thread, never stalling the router (and with it other sessions).
-    LoadText(String),
-    /// Parse raw trace artifact text, then ingest it epoch by epoch.
-    IngestText(String),
-    /// Answer one query.
-    Query(Box<QueryKind>),
-    /// Deliberately panic the engine thread — the regression hook for
-    /// the panic fence, compiled only into this crate's tests.
-    #[cfg(test)]
-    Poison,
-}
-
-/// What one command answers with: almost always a [`Response`], but
-/// standing-query commands reply with pre-serialized `notify` artifacts
-/// (see [`Session::subscription_reply`]) that must reach the client
-/// byte-exactly.
-enum Reply {
-    Response(Response),
-    Raw(String),
-}
-
-/// Locks an info cell even when a previous holder panicked mid-update:
-/// the cell is a single `Option` assignment, valid at every
-/// instruction boundary, so mutex poison carries no information — and
-/// must never turn a `sessions` listing into a second panic.
-fn lock_info(info: &Mutex<Option<SessionInfo>>) -> MutexGuard<'_, Option<SessionInfo>> {
-    info.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running session thread.
@@ -127,105 +71,55 @@ struct SessionThread {
 }
 
 impl SessionThread {
+    /// Spawns the named session's engine thread. The cell is built on
+    /// that thread: engine state is not `Send`, by design.
+    fn spawn(
+        name: String,
+        config: SessionConfig,
+        view: Option<Arc<ViewSlot>>,
+        hub: Option<Arc<NotifyHub>>,
+    ) -> Self {
+        let (tx, rx) = mpsc::channel::<SessionCmd>();
+        let info = Arc::new(Mutex::new(None));
+        let shared = Arc::clone(&info);
+        let acct = dna_obs::SessionAccounting::register(dna_obs::global(), &name);
+        let join = std::thread::spawn(move || {
+            session_loop(SessionCell::new(name, config, view, hub), rx, &shared)
+        });
+        SessionThread {
+            tx,
+            info,
+            acct,
+            join,
+        }
+    }
+
     /// Queues one command, marking it in the ingest-queue accounting;
     /// a send into a dead thread is unwound from the gauges before the
     /// error (carrying the command) is handed back.
     fn send(
         &self,
-        work: SessionWork,
+        work: Work,
         reply: mpsc::Sender<String>,
     ) -> Result<(), mpsc::SendError<SessionCmd>> {
-        let cmd = SessionCmd::new(work, reply);
+        let epochs_hint = match &work {
+            Work::IngestText(text) => count_epoch_lines(text),
+            _ => 0,
+        };
+        let cmd = SessionCmd {
+            work,
+            reply,
+            enqueued: std::time::Instant::now(),
+            epochs_hint,
+        };
         self.acct.queue_depth.add(1);
-        self.acct.epochs_behind.add(cmd.epochs_hint);
+        self.acct.epochs_behind.add(epochs_hint);
         let result = self.tx.send(cmd);
-        if let Err(mpsc::SendError(cmd)) = &result {
+        if result.is_err() {
             self.acct.queue_depth.sub(1);
-            self.acct.epochs_behind.sub(cmd.epochs_hint);
+            self.acct.epochs_behind.sub(epochs_hint);
         }
         result
-    }
-}
-
-fn spawn_session(
-    name: String,
-    config: SessionConfig,
-    view: Option<Arc<ViewSlot>>,
-    hub: Option<Arc<NotifyHub>>,
-) -> SessionThread {
-    let (tx, rx) = mpsc::channel::<SessionCmd>();
-    let info = Arc::new(Mutex::new(None));
-    let shared = Arc::clone(&info);
-    let acct = dna_obs::SessionAccounting::register(dna_obs::global(), &name);
-    let join = std::thread::spawn(move || session_loop(name, config, rx, &shared, view, hub));
-    SessionThread {
-        tx,
-        info,
-        acct,
-        join,
-    }
-}
-
-/// (Re)opens `slot` over a snapshot; a failed open keeps the previous
-/// session (mirroring `SessionManager::open` semantics on reload).
-fn open_session(
-    name: &str,
-    config: SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
-    slot: &mut Option<Session>,
-    snapshot: Snapshot,
-) -> Response {
-    let devices = snapshot.device_count() as u64;
-    let links = snapshot.links.len() as u64;
-    match Session::open(name, snapshot, config) {
-        Ok(mut s) => {
-            if let Some(view) = view {
-                s.set_view_slot(Arc::clone(view));
-            }
-            if let Some(hub) = hub {
-                s.set_notify_hub(Arc::clone(hub));
-            }
-            *slot = Some(s);
-            Response::Loaded {
-                session: name.to_string(),
-                devices,
-                links,
-            }
-        }
-        Err(e) => Response::Error(e),
-    }
-}
-
-/// (Re)opens `slot` by resuming a checkpoint; a failed resume keeps
-/// the previous session, mirroring [`open_session`].
-fn resume_session(
-    config: &SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
-    slot: &mut Option<Session>,
-    ckpt: &Checkpoint,
-    snapshot: Snapshot,
-) -> Response {
-    let devices = snapshot.device_count() as u64;
-    let links = snapshot.links.len() as u64;
-    match Session::resume(ckpt, snapshot, config) {
-        Ok(mut s) => {
-            let session = s.name().to_string();
-            if let Some(view) = view {
-                s.set_view_slot(Arc::clone(view));
-            }
-            if let Some(hub) = hub {
-                s.set_notify_hub(Arc::clone(hub));
-            }
-            *slot = Some(s);
-            Response::Loaded {
-                session,
-                devices,
-                links,
-            }
-        }
-        Err(e) => Response::Error(e),
     }
 }
 
@@ -234,22 +128,19 @@ fn resume_session(
 /// router counts only what it answers itself); the per-thread summaries
 /// are summed at shutdown.
 ///
-/// Every command runs inside a panic fence: if the engine panics, the
-/// session is marked **failed** — its state is dropped (half-mutated
-/// state must never answer again), its published view is withdrawn,
-/// the `sessions` listing carries a `failed` marker — and this loop
-/// keeps answering, with errors, so one wedged session never takes
-/// the server (or even this session's own clients) down with it. A
-/// later snapshot load or checkpoint resume lifts the fence.
+/// All engine work runs inside **the** panic fence: if the engine
+/// panics, the session is marked **failed** — its state is dropped
+/// (half-mutated state must never answer again), its published view is
+/// withdrawn, the `sessions` listing carries a `failed` marker — and
+/// this loop keeps answering, with errors, so one wedged session never
+/// takes the server (or even this session's own clients) down with it.
+/// A later snapshot load or checkpoint resume lifts the fence.
 fn session_loop(
-    name: String,
-    config: SessionConfig,
+    mut cell: SessionCell,
     rx: mpsc::Receiver<SessionCmd>,
     info: &Mutex<Option<SessionInfo>>,
-    view: Option<Arc<ViewSlot>>,
-    hub: Option<Arc<NotifyHub>>,
 ) -> ServeSummary {
-    let mut session: Option<Session> = None;
+    let name = cell.name.clone();
     let mut summary = ServeSummary::default();
     let mut failed: Option<String> = None;
     // Engine-side accounting handles: the same shared cells the router
@@ -258,21 +149,11 @@ fn session_loop(
     // whose engine loop is alive.
     let registry = dna_obs::global();
     let acct = dna_obs::SessionAccounting::register(registry, &name);
-    // Engine-path query latency, labeled by answer path (the scope
-    // slot carries the transport, not a session — see `crate::obs`).
-    let query_latency = registry.histogram_for("query_latency_us", "broker");
     // A command the coalescing drain pulled off the channel that turned
     // out not to be ingest work: processed on the next iteration, so
     // per-session command order is preserved exactly.
     let mut carry: Option<SessionCmd> = None;
-    loop {
-        let cmd = match carry.take() {
-            Some(c) => c,
-            None => match rx.recv() {
-                Ok(c) => c,
-                Err(_) => break,
-            },
-        };
+    while let Some(cmd) = carry.take().or_else(|| rx.recv().ok()) {
         let SessionCmd {
             work,
             reply,
@@ -284,281 +165,123 @@ fn session_loop(
         acct.beat();
         acct.queue_depth.sub(1);
         acct.queue_wait.observe(enqueued.elapsed());
-        if matches!(
-            work,
-            SessionWork::Load(_) | SessionWork::Resume(_) | SessionWork::LoadText(_)
-        ) {
+        if matches!(work, Work::Load(_) | Work::LoadText(_)) {
             // A fresh load replaces whatever state the panic ruined.
             failed = None;
             acct.failed.set(0);
         }
-        if let Some(reason) = &failed {
-            acct.epochs_behind.sub(epochs_hint);
-            let response = Response::Error(format!("session {name:?} failed: {reason}"));
-            summary.count(&response, 0);
-            let _ = reply.send(write_response(&response));
-            continue;
-        }
+        // Who is waiting on this iteration: the command's own client,
+        // plus one per drained artifact. The enqueue-side hints come
+        // off however the work ends — applied, failed mid-trace, or
+        // panicked — so `epochs_behind` can never leak.
+        let mut replies = vec![(reply, epochs_hint)];
         // Backlog epoch coalescing (--coalesce): if more ingest work is
-        // already queued behind this command, the queue is deep — drain
+        // already queued behind this ingest, the queue is deep — drain
         // it and merge the pooled epochs into commits of up to
         // `config.coalesce` epochs each (see `apply_ingest_batch`).
         // Draining stops at the first non-ingest command, carried into
         // the next iteration, so command order is preserved; each
         // drained artifact still gets its own reply. A lone ingest with
-        // an empty queue takes the per-epoch path below — coalescing
-        // never touches a shallow queue.
-        if config.coalesce >= 2 && matches!(work, SessionWork::IngestText(_)) {
-            let mut extras: Vec<(String, mpsc::Sender<String>, u64)> = Vec::new();
-            // Bounded drain: drained artifacts' replies are withheld
-            // until the whole batch commits, so one drain must not
-            // swallow an unbounded flood.
-            while extras.len() + 1 < 64 {
+        // an empty queue takes the per-epoch path — coalescing never
+        // touches a shallow queue. Bounded: drained artifacts' replies
+        // are withheld until the whole batch commits, so one drain must
+        // not swallow an unbounded flood.
+        let mut batch: Vec<String> = Vec::new();
+        let mut work = Some(work);
+        let drain = failed.is_none()
+            && cell.config.coalesce >= 2
+            && matches!(work, Some(Work::IngestText(_)));
+        if drain {
+            while replies.len() < 64 {
                 match rx.try_recv() {
-                    Ok(c) if matches!(c.work, SessionWork::IngestText(_)) => {
+                    Ok(SessionCmd {
+                        work: Work::IngestText(text),
+                        reply,
+                        enqueued,
+                        epochs_hint,
+                    }) => {
                         acct.queue_depth.sub(1);
-                        acct.queue_wait.observe(c.enqueued.elapsed());
-                        let SessionWork::IngestText(text) = c.work else {
-                            unreachable!("matched IngestText above");
-                        };
-                        extras.push((text, c.reply, c.epochs_hint));
+                        acct.queue_wait.observe(enqueued.elapsed());
+                        batch.push(text);
+                        replies.push((reply, epochs_hint));
                     }
                     // Pulled but deliberately not processed here: its
                     // pick-up accounting runs when the next iteration
                     // takes it out of the carry slot.
-                    Ok(c) => {
-                        carry = Some(c);
+                    Ok(other) => {
+                        carry = Some(other);
                         break;
                     }
                     Err(_) => break,
                 }
             }
-            if !extras.is_empty() {
-                let SessionWork::IngestText(text) = work else {
-                    unreachable!("matched IngestText above");
-                };
-                let mut texts = vec![text];
-                let mut replies = vec![(reply, epochs_hint)];
-                for (text, reply, hint) in extras {
-                    texts.push(text);
-                    replies.push((reply, hint));
+            if !batch.is_empty() {
+                if let Some(Work::IngestText(head)) = work.take() {
+                    batch.insert(0, head);
                 }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    apply_ingest_batch(&name, &config, &mut session, &texts)
-                }));
-                for (_, hint) in &replies {
-                    acct.epochs_behind.sub(*hint);
-                }
-                match outcome {
-                    Ok(results) => {
-                        *lock_info(info) = session.as_ref().map(Session::info);
-                        for ((response, epochs), (reply, _)) in results.into_iter().zip(&replies) {
-                            summary.count(&response, epochs);
-                            let _ = reply.send(write_response(&response));
-                        }
-                    }
-                    // The same fence as the single-command path below,
-                    // except every client in the drained batch gets the
-                    // failure answer — none may be left hanging.
-                    Err(payload) => {
-                        let reason = panic_reason(payload.as_ref());
-                        session = None;
-                        if let Some(view) = &view {
-                            view.clear();
-                            registry.counter_for("view_withdrawals", &name).inc();
-                        }
-                        let mut guard = lock_info(info);
-                        let last = guard.take();
-                        *guard = Some(SessionInfo {
-                            name: name.clone(),
-                            epochs: last.as_ref().map_or(0, |i| i.epochs),
-                            devices: last.as_ref().map_or(0, |i| i.devices),
-                            verify: config.verify,
-                            failed: true,
-                        });
-                        drop(guard);
-                        summary.failures += 1;
-                        failed = Some(reason.clone());
-                        acct.failed.set(1);
-                        let response =
-                            Response::Error(format!("session {name:?} failed: {reason}"));
-                        let text = write_response(&response);
-                        for (reply, _) in &replies {
-                            summary.count(&response, 0);
-                            let _ = reply.send(text.clone());
-                        }
-                    }
-                }
-                continue;
             }
         }
-        let query_kind = match &work {
-            SessionWork::Query(k) => Some(k.name()),
+        // Engine-path queries are ringed under the "broker" scope.
+        let query = match &work {
+            Some(Work::Query(kind)) => Some((Some(name.clone()), kind.name())),
             _ => None,
         };
         let started = std::time::Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            apply(
-                &name,
-                &config,
-                view.as_ref(),
-                hub.as_ref(),
-                &mut session,
-                work,
-            )
-        }));
-        // The enqueue-side hint comes off however the work ended —
-        // applied, failed mid-trace, or panicked — so `epochs_behind`
-        // can never leak.
-        acct.epochs_behind.sub(epochs_hint);
-        let (reply_body, epochs) = match outcome {
-            Ok(out) => out,
-            Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
-                session = None;
-                if let Some(view) = &view {
-                    view.clear();
-                    registry.counter_for("view_withdrawals", &name).inc();
-                }
+        let outcome = if let Some(reason) = failed.clone() {
+            Err(reason)
+        } else {
+            catch_unwind(AssertUnwindSafe(|| match work {
+                Some(work) => vec![cell.apply(work)],
+                None => apply_ingest_batch(&mut cell, &batch),
+            }))
+            .map_err(|payload| {
+                cell.wreck();
                 // Keep the session listed — operators must see the
                 // wreck — but flagged, with the last known counters.
-                let mut guard = lock_info(info);
+                let mut guard = crate::lock(info);
                 let last = guard.take();
                 *guard = Some(SessionInfo {
                     name: name.clone(),
                     epochs: last.as_ref().map_or(0, |i| i.epochs),
                     devices: last.as_ref().map_or(0, |i| i.devices),
-                    verify: config.verify,
+                    verify: cell.config.verify,
                     failed: true,
                 });
                 drop(guard);
                 summary.failures += 1;
-                failed = Some(reason.clone());
                 // The health query reads the fence off this gauge.
                 acct.failed.set(1);
-                let response = Response::Error(format!("session {name:?} failed: {reason}"));
-                summary.count(&response, 0);
-                let _ = reply.send(write_response(&response));
-                continue;
+                failed.insert(panic_reason(payload.as_ref())).clone()
+            })
+        };
+        let results = match outcome {
+            Ok(results) => {
+                crate::obs::record_query_span("broker", query, started.elapsed());
+                // Publish the refreshed info line BEFORE acknowledging:
+                // once a client holds our reply, a `sessions` listing
+                // must already reflect the command it acknowledges.
+                *crate::lock(info) = cell.info();
+                results
+            }
+            // Fenced — just now, or by an earlier command: every client
+            // of this iteration gets the failure answer, none may be
+            // left hanging.
+            Err(reason) => {
+                let error = format!("session {name:?} failed: {reason}");
+                let failure = || (Reply::Response(Response::Error(error.clone())), 0);
+                replies.iter().map(|_| failure()).collect()
             }
         };
-        if let Some(kind) = query_kind {
-            let total_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            query_latency.observe_ns(total_ns);
-            dna_obs::query_spans().record(dna_obs::QuerySpan {
-                transport: "broker",
-                session: Some(name.clone()),
-                kind,
-                total_ns,
-            });
-        }
-        // Publish the refreshed info line BEFORE acknowledging: once a
-        // client holds our reply, a `sessions` listing must already
-        // reflect the command it acknowledges.
-        *lock_info(info) = session.as_ref().map(Session::info);
-        match reply_body {
-            Reply::Response(response) => {
-                summary.count(&response, epochs);
-                let _ = reply.send(write_response(&response));
-            }
-            // A notify-artifact reply: counted like the other
-            // non-`response` query answers (telemetry).
-            Reply::Raw(text) => {
-                summary.count_obs();
-                let _ = reply.send(text);
-            }
+        for ((body, epochs), (reply, epochs_hint)) in results.into_iter().zip(replies) {
+            acct.epochs_behind.sub(epochs_hint);
+            summary.count(&body, epochs);
+            // A client that hung up before its answer is not an engine
+            // problem; drop the reply.
+            let _ = reply.send(body.into_text());
         }
     }
     acct.retire(registry);
     summary
-}
-
-/// Applies one command payload to the session slot (the code inside
-/// the panic fence). Returns the reply plus epochs applied.
-fn apply(
-    name: &str,
-    config: &SessionConfig,
-    view: Option<&Arc<ViewSlot>>,
-    hub: Option<&Arc<NotifyHub>>,
-    session: &mut Option<Session>,
-    work: SessionWork,
-) -> (Reply, u64) {
-    match work {
-        SessionWork::Load(snapshot) => (
-            Reply::Response(open_session(
-                name,
-                config.clone(),
-                view,
-                hub,
-                session,
-                *snapshot,
-            )),
-            0,
-        ),
-        SessionWork::Resume(boxed) => {
-            let (ckpt, snapshot) = *boxed;
-            (
-                Reply::Response(resume_session(config, view, hub, session, &ckpt, snapshot)),
-                0,
-            )
-        }
-        SessionWork::LoadText(text) => {
-            let response = match parse_snapshot(&text) {
-                Ok(snapshot) => open_session(name, config.clone(), view, hub, session, snapshot),
-                Err(e) => Response::Error(e.to_string()),
-            };
-            (Reply::Response(response), 0)
-        }
-        SessionWork::IngestText(text) => {
-            let start = std::time::Instant::now();
-            let (response, epochs) = match parse_trace(&text) {
-                Err(e) => (Response::Error(e.to_string()), 0),
-                Ok(trace) => {
-                    fault_check(&trace);
-                    match session.as_mut() {
-                        None => (
-                            Response::Error(format!("session {name:?} has no loaded snapshot")),
-                            0,
-                        ),
-                        Some(s) => {
-                            // Hand the parse cost to the session so epoch
-                            // lifecycle spans start at the wire.
-                            let parse_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            match s.ingest_trace_timed(&trace, parse_ns) {
-                                Ok((epochs, flows)) => (
-                                    Response::Ingested {
-                                        session: name.to_string(),
-                                        epochs: epochs as u64,
-                                        flows: flows as u64,
-                                        total: s.epochs() as u64,
-                                    },
-                                    epochs as u64,
-                                ),
-                                Err((applied, e)) => (Response::Error(e), applied as u64),
-                            }
-                        }
-                    }
-                }
-            };
-            (Reply::Response(response), epochs)
-        }
-        SessionWork::Query(kind) => {
-            let reply = match session.as_ref() {
-                None => Reply::Response(Response::Error(format!(
-                    "session {name:?} has no loaded snapshot"
-                ))),
-                // Standing-query commands answer with notify artifacts;
-                // everything else stays a `response`.
-                Some(s) => match s.subscription_reply(&kind) {
-                    Some(text) => Reply::Raw(text),
-                    None => Reply::Response(s.answer(&kind)),
-                },
-            };
-            (reply, 0)
-        }
-        #[cfg(test)]
-        SessionWork::Poison => panic!("deliberately poisoned (test hook)"),
-    }
 }
 
 /// Applies a drained backlog of ingest artifacts with epoch coalescing
@@ -577,12 +300,7 @@ fn apply(
 /// semantics. Replies report the session's epoch total at drain
 /// completion (commit granularity — the N intermediate totals never
 /// exist under coalescing).
-fn apply_ingest_batch(
-    name: &str,
-    config: &SessionConfig,
-    session: &mut Option<Session>,
-    texts: &[String],
-) -> Vec<(Response, u64)> {
+fn apply_ingest_batch(cell: &mut SessionCell, texts: &[String]) -> Vec<(Reply, u64)> {
     // Per-artifact accounting, separate from the parsed traces so the
     // chunk loop can hold epoch borrows while it updates counters.
     #[derive(Default, Clone)]
@@ -604,7 +322,7 @@ fn apply_ingest_batch(
             if acc[*ai].error.is_some() {
                 continue;
             }
-            match s.ingest_timed(ep, parse_share[*ai]) {
+            match s.ingest_coalesced(&[*ep], parse_share[*ai]) {
                 Ok(n) => {
                     acc[*ai].applied += 1;
                     acc[*ai].flows += n;
@@ -618,28 +336,16 @@ fn apply_ingest_batch(
             }
         }
     }
-    let parsed: Vec<(Result<dna_io::Trace, String>, u64)> = texts
-        .iter()
-        .map(|text| {
-            let start = std::time::Instant::now();
-            let trace = parse_trace(text).map_err(|e| e.to_string());
-            if let Ok(t) = &trace {
-                fault_check(t);
-            }
-            let parse_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            (trace, parse_ns)
-        })
-        .collect();
-    let Some(s) = session.as_mut() else {
-        let msg = format!("session {name:?} has no loaded snapshot");
-        return parsed
+    let Some(s) = cell.session.as_mut() else {
+        // No loaded snapshot: each artifact gets the sequential path's
+        // answer (its parse error, or the unloaded-session error).
+        return texts
             .iter()
-            .map(|(p, _)| match p {
-                Err(e) => (Response::Error(e.clone()), 0),
-                Ok(_) => (Response::Error(msg.clone()), 0),
-            })
+            .map(|text| cell.apply(Work::IngestText(text.clone())))
             .collect();
     };
+    let parsed: Vec<(Result<dna_io::Trace, String>, u64)> =
+        texts.iter().map(|text| parse_trace_timed(text)).collect();
     let mut acc = vec![Acc::default(); parsed.len()];
     // The pooled epoch stream: (artifact, epoch) indices in arrival
     // order, with each artifact's parse cost amortized evenly across
@@ -652,7 +358,7 @@ fn apply_ingest_batch(
             stream.extend((0..t.epochs.len()).map(|ei| (ai, ei)));
         }
     }
-    let max = config.coalesce.max(1);
+    let max = cell.config.coalesce.max(1);
     let mut next = 0;
     while next < stream.len() {
         // Collect the next commit's epochs, skipping artifacts already
@@ -670,7 +376,6 @@ fn apply_ingest_batch(
         }
         match chunk.as_slice() {
             [] => {}
-            [_] => seq_ingest(s, &chunk, &parse_share, &mut acc),
             many => {
                 let epochs: Vec<&dna_io::TraceEpoch> = many.iter().map(|(_, ep)| *ep).collect();
                 let parse_ns = many.iter().map(|(ai, _)| parse_share[*ai]).sum();
@@ -702,7 +407,7 @@ fn apply_ingest_batch(
             (Ok(_), Some(e)) => (Response::Error(e), a.applied as u64),
             (Ok(_), None) => (
                 Response::Ingested {
-                    session: name.to_string(),
+                    session: cell.name.clone(),
                     epochs: a.applied as u64,
                     flows: a.flows as u64,
                     total,
@@ -710,28 +415,8 @@ fn apply_ingest_batch(
                 a.applied as u64,
             ),
         })
+        .map(|(response, epochs)| (Reply::Response(response), epochs))
         .collect()
-}
-
-/// The fault-injection hook behind `DNA_SERVE_FAULT_LABEL`: routing a
-/// trace epoch whose scenario label equals the variable's value panics
-/// the engine thread — inside the panic fence, so what CI (and an
-/// operator rehearsing an incident) gets is the real failure path:
-/// session fenced and `failed` in health, server still serving. Only
-/// the router path checks it; the fence lives here, not in the
-/// single-threaded transports.
-fn fault_check(trace: &dna_io::Trace) {
-    let Ok(label) = std::env::var("DNA_SERVE_FAULT_LABEL") else {
-        return;
-    };
-    if !label.is_empty()
-        && trace
-            .epochs
-            .iter()
-            .any(|e| e.label.as_deref() == Some(label.as_str()))
-    {
-        panic!("fault injected: epoch label {label:?} (DNA_SERVE_FAULT_LABEL)");
-    }
 }
 
 /// A human-readable reason out of a panic payload (`panic!` with a
@@ -754,9 +439,9 @@ pub struct Router {
     default: Option<String>,
     summary: ServeSummary,
     /// When attached (the TCP front door), every session thread gets a
-    /// [`ViewSlot`] from this registry and publishes a read view after
-    /// each applied epoch; reader threads resolve slots through the
-    /// same registry.
+    /// [`crate::ViewSlot`] from this registry and publishes a read view
+    /// after each applied epoch; reader threads resolve slots through
+    /// the same registry.
     views: Option<Arc<ViewRegistry>>,
     /// When attached (the TCP front door), every session thread pushes
     /// notify artifacts through this hub to watching connections.
@@ -796,11 +481,8 @@ impl Router {
     /// stream target. On any failure the error is returned and the
     /// router is left without the failed session.
     pub fn preload(&mut self, snapshots: Vec<(String, Snapshot)>) -> Result<Vec<String>, String> {
-        let cmds = snapshots
-            .into_iter()
-            .map(|(name, snapshot)| (name, SessionWork::Load(Box::new(snapshot))))
-            .collect::<Vec<_>>();
-        self.preload_with(cmds)
+        let load = |(name, snapshot)| (name, Work::Load(Box::new((None, snapshot))));
+        self.preload_with(snapshots.into_iter().map(load))
     }
 
     /// [`Router::preload`] for checkpoints: every session resumes on
@@ -813,25 +495,11 @@ impl Router {
         &mut self,
         checkpoints: Vec<(Checkpoint, Snapshot)>,
     ) -> Result<Vec<String>, String> {
-        let cmds = checkpoints
-            .into_iter()
-            .map(|(ckpt, snapshot)| {
-                let name = ckpt.session.clone();
-                (name, SessionWork::Resume(Box::new((ckpt, snapshot))))
-            })
-            .collect::<Vec<_>>();
-        self.preload_with(cmds)
-    }
-
-    /// The named session's thread, spawned (with its view slot, when a
-    /// registry is attached) if it does not exist yet.
-    fn thread_entry(&mut self, name: &str) -> &SessionThread {
-        let config = self.config.clone();
-        let view = self.views.as_ref().map(|v| v.slot(name));
-        let hub = self.hub.clone();
-        self.sessions
-            .entry(name.to_string())
-            .or_insert_with(|| spawn_session(name.to_string(), config, view, hub))
+        let resume = |(ckpt, snapshot): (Checkpoint, Snapshot)| {
+            let name = ckpt.session.clone();
+            (name, Work::Load(Box::new((Some(ckpt), snapshot))))
+        };
+        self.preload_with(checkpoints.into_iter().map(resume))
     }
 
     /// Records the default stream target, mirroring it into the view
@@ -844,25 +512,42 @@ impl Router {
         self.default = name;
     }
 
+    /// Queues work on the named session's thread, spawned (with its
+    /// view slot, when a registry is attached) if it does not exist
+    /// yet. Send-or-answer: a dead thread is answered from here, so a
+    /// client is never left hanging on a dead channel. A session name
+    /// exists from the moment work is first routed to it: if that load
+    /// then fails, the name keeps answering "no loaded snapshot" errors
+    /// (and stays out of the `sessions` listing) until a later load
+    /// succeeds.
+    fn route(&mut self, name: String, work: Work, reply: mpsc::Sender<String>) {
+        let (config, hub) = (&self.config, &self.hub);
+        let views = &self.views;
+        let thread = self.sessions.entry(name.clone()).or_insert_with(|| {
+            let view = views.as_ref().map(|v| v.slot(&name));
+            SessionThread::spawn(name.clone(), config.clone(), view, hub.clone())
+        });
+        if let Err(mpsc::SendError(cmd)) = thread.send(work, reply) {
+            let gone = Response::Error(format!("session {name:?}: engine thread is gone"));
+            self.answer(&cmd.reply, Reply::Response(gone));
+        }
+        if self.default.is_none() {
+            self.set_default(Some(name));
+        }
+    }
+
     /// Shared preload machinery: route one bring-up command per named
     /// session (spawning engine threads as needed, so every bring-up
     /// runs concurrently), then wait for all of them. On any failure
     /// the error is returned and the failed session is removed.
-    fn preload_with(&mut self, cmds: Vec<(String, SessionWork)>) -> Result<Vec<String>, String> {
+    fn preload_with(
+        &mut self,
+        cmds: impl Iterator<Item = (String, Work)>,
+    ) -> Result<Vec<String>, String> {
         let mut pending = Vec::new();
         for (name, work) in cmds {
             let (reply_tx, reply_rx) = mpsc::channel();
-            let sent = self.thread_entry(&name).send(work, reply_tx);
-            if sent.is_err() {
-                // A session loop only exits when its channel closes, so
-                // a dead thread here is exceptional — fail the bring-up
-                // cleanly rather than panicking the router.
-                self.remove(&name);
-                return Err(format!("session {name:?}: engine thread is gone"));
-            }
-            if self.default.is_none() {
-                self.set_default(Some(name.clone()));
-            }
+            self.route(name.clone(), work, reply_tx);
             pending.push((name, reply_rx));
         }
         let mut loaded = Vec::new();
@@ -896,126 +581,15 @@ impl Router {
     }
 
     /// Routes one request. The reply reaches the client from whichever
-    /// thread answers; the router never blocks on engine work, and only
-    /// sniffs artifact headers — full parsing of snapshot/trace bodies
-    /// happens on the owning session's thread. A session name exists
-    /// from the moment a load is first routed to it: if that load then
-    /// fails, the name keeps answering "no loaded snapshot" errors (and
-    /// stays out of the `sessions` listing) until a later load
-    /// succeeds.
+    /// thread answers; the router never blocks on engine work, and the
+    /// classifier only sniffs snapshot/trace headers — full parsing of
+    /// their bodies happens on the owning session's thread.
     fn dispatch(&mut self, req: Request) {
-        let stream_session = req.session.as_deref();
-        let kind = match dna_io::sniff(&req.text) {
-            Ok((_, kind)) => kind,
-            Err(e) => return self.answer(&req.reply, Response::Error(e.to_string())),
-        };
-        match kind {
-            Artifact::Snapshot => {
-                let name = stream_session
-                    .or(self.default.as_deref())
-                    .unwrap_or("main")
-                    .to_string();
-                let sent = self
-                    .thread_entry(&name)
-                    .send(SessionWork::LoadText(req.text), req.reply);
-                if let Err(mpsc::SendError(cmd)) = sent {
-                    // The thread is gone; answer from here so the
-                    // client is never left hanging on a dead channel.
-                    let msg = format!("session {name:?}: engine thread is gone");
-                    self.answer(&cmd.reply, Response::Error(msg));
-                }
-                if self.default.is_none() {
-                    self.set_default(Some(name));
-                }
-            }
-            Artifact::Trace => {
-                let Some(name) = stream_session.or(self.default.as_deref()) else {
-                    return self.answer(&req.reply, Response::Error("no session is open".into()));
-                };
-                let name = name.to_string();
-                match self.sessions.get(&name) {
-                    Some(thread) => {
-                        let sent = thread.send(SessionWork::IngestText(req.text), req.reply);
-                        if let Err(mpsc::SendError(cmd)) = sent {
-                            let msg = format!("session {name:?}: engine thread is gone");
-                            self.answer(&cmd.reply, Response::Error(msg));
-                        }
-                    }
-                    None => {
-                        let msg = format!("unknown session {name:?}");
-                        self.answer(&req.reply, Response::Error(msg));
-                    }
-                }
-            }
-            // A streamed checkpoint artifact resumes its own named
-            // session. Unlike snapshot/trace bodies, the artifact must
-            // be parsed *here*: the target session's name lives inside
-            // it. Checkpoint loads are rare (startup, recovery), so the
-            // routing stall is acceptable; the bring-up itself still
-            // runs on the session's thread.
-            Artifact::Checkpoint => match dna_io::parse_checkpoint(&req.text) {
-                Ok(ckpt) => match crate::session::resolve_checkpoint_snapshot(&ckpt, None) {
-                    Ok(snapshot) => {
-                        let name = ckpt.session.clone();
-                        let sent = self
-                            .thread_entry(&name)
-                            .send(SessionWork::Resume(Box::new((ckpt, snapshot))), req.reply);
-                        if let Err(mpsc::SendError(cmd)) = sent {
-                            let msg = format!("session {name:?}: engine thread is gone");
-                            self.answer(&cmd.reply, Response::Error(msg));
-                        }
-                        if self.default.is_none() {
-                            self.set_default(Some(name));
-                        }
-                    }
-                    Err(e) => self.answer(&req.reply, Response::Error(e)),
-                },
-                Err(e) => self.answer(&req.reply, Response::Error(e.to_string())),
-            },
-            Artifact::Query => match parse_query(&req.text) {
-                Ok(q) => {
-                    // Telemetry is process-global: answered on the
-                    // router thread, never queued behind engine work.
-                    if let Some(reply) = crate::obs::obs_reply_for(&q) {
-                        self.summary.count_obs();
-                        let _ = req.reply.send(reply);
-                        return;
-                    }
-                    if q.kind == QueryKind::Sessions {
-                        let list = self.session_infos();
-                        return self.answer(&req.reply, Response::Sessions(list));
-                    }
-                    let Some(name) = q.session.as_deref().or(self.default.as_deref()) else {
-                        return self
-                            .answer(&req.reply, Response::Error("no session is open".into()));
-                    };
-                    let name = name.to_string();
-                    match self.sessions.get(&name) {
-                        Some(thread) => {
-                            let sent = thread.send(SessionWork::Query(Box::new(q.kind)), req.reply);
-                            if let Err(mpsc::SendError(cmd)) = sent {
-                                let msg = format!("session {name:?}: engine thread is gone");
-                                self.answer(&cmd.reply, Response::Error(msg));
-                            }
-                        }
-                        None => {
-                            let msg = format!("unknown session {name:?}");
-                            self.answer(&req.reply, Response::Error(msg));
-                        }
-                    }
-                }
-                Err(e) => self.answer(&req.reply, Response::Error(e.to_string())),
-            },
-            Artifact::Report
-            | Artifact::Response
-            | Artifact::Metrics
-            | Artifact::Spans
-            | Artifact::History
-            | Artifact::Health
-            | Artifact::Notify => self.answer(
-                &req.reply,
-                Response::Error(format!("cannot serve a {kind} artifact")),
-            ),
+        let action = classify(&req.text, req.session.as_deref()).action;
+        let exists = |name: &str| self.sessions.contains_key(name);
+        match action.settle(|| self.session_infos(), self.default.as_deref(), exists) {
+            Ok((name, work)) => self.route(name, work, req.reply),
+            Err(reply) => self.answer(&req.reply, reply),
         }
     }
 
@@ -1029,14 +603,14 @@ impl Router {
     fn session_infos(&self) -> Vec<SessionInfo> {
         self.sessions
             .values()
-            .filter_map(|t| lock_info(&t.info).clone())
+            .filter_map(|t| crate::lock(&t.info).clone())
             .collect()
     }
 
     /// Answers a request from the router thread itself.
-    fn answer(&mut self, reply: &mpsc::Sender<String>, response: Response) {
-        self.summary.count(&response, 0);
-        let _ = reply.send(write_response(&response));
+    fn answer(&mut self, reply: &mpsc::Sender<String>, body: Reply) {
+        self.summary.count(&body, 0);
+        let _ = reply.send(body.into_text());
     }
 
     /// Runs the routing loop until every request sender is dropped,
@@ -1045,47 +619,34 @@ impl Router {
         for req in requests {
             self.dispatch(req);
         }
-        let mut summary = self.summary;
-        for (_, thread) in std::mem::take(&mut self.sessions) {
-            drop(thread.tx);
-            if let Ok(s) = thread.join.join() {
-                summary.merge(&s);
-            }
+        while let Some(name) = self.sessions.keys().next().cloned() {
+            self.remove(&name);
         }
-        summary
+        self.summary
     }
-}
-
-/// Runs a per-session-threaded serve loop over one artifact stream —
-/// the threaded sibling of [`crate::server::serve_stream`], used when a
-/// follower or socket pump needs to coexist with the stream.
-pub fn route_stream(
-    router: Router,
-    input: &mut impl std::io::BufRead,
-    output: &mut impl std::io::Write,
-) -> std::io::Result<ServeSummary> {
-    let (tx, rx) = mpsc::channel();
-    let summary_thread = std::thread::spawn(move || router.run(rx));
-    crate::server::pump_stream(&tx, input, output)?;
-    drop(tx);
-    // Session panics are fenced inside their own loops; the router
-    // thread itself panicking is a bug, but it must surface as an I/O
-    // error to the caller, not a second panic that unwinds the server.
-    summary_thread
-        .join()
-        .map_err(|_| std::io::Error::other("router thread panicked"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{pump_stream, read_artifact};
-    use dna_io::{parse_response, write_query, write_snapshot, write_trace, Query};
+    use dna_io::{parse_response, write_query, write_snapshot, write_trace, Query, QueryKind};
     use std::io::Cursor;
     use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
     fn ft4() -> Snapshot {
         fat_tree(4, Routing::Ebgp).snapshot
+    }
+
+    /// A trace whose one (empty) epoch carries the unit-test fault
+    /// label: ingesting it panics the engine thread (see `crate::env`).
+    fn poison_trace() -> String {
+        write_trace(&dna_io::Trace {
+            epochs: vec![dna_io::TraceEpoch {
+                label: crate::env::fault_label().map(str::to_string),
+                changes: Default::default(),
+            }],
+        })
     }
 
     #[test]
@@ -1159,9 +720,12 @@ mod tests {
             }),
         );
         let router = Router::new(SessionConfig::default());
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || router.run(rx));
         let mut out = Vec::new();
-        let summary =
-            route_stream(router, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
+        pump_stream(&tx, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
+        drop(tx);
+        let summary = handle.join().unwrap();
         assert_eq!(summary.artifacts, 3);
         assert_eq!(summary.epochs, 1);
         assert_eq!(summary.errors, 0);
@@ -1218,7 +782,7 @@ mod tests {
             .sessions
             .get("fence-a")
             .unwrap()
-            .send(SessionWork::Poison, ptx)
+            .send(Work::IngestText(poison_trace()), ptx)
             .expect("thread is live");
         match parse_response(&prx.recv().expect("fence answers the poisoned command")).unwrap() {
             Response::Error(msg) => {
@@ -1360,12 +924,116 @@ mod tests {
             .sessions
             .get("a")
             .unwrap()
-            .send(SessionWork::Query(Box::new(QueryKind::Stats)), qtx)
+            .send(Work::Query(Box::new(QueryKind::Stats)), qtx)
             .unwrap();
         match parse_response(&qrx.recv().unwrap()).unwrap() {
             Response::Stats(s) => assert_eq!(s.session, "a"),
             other => panic!("expected stats, got {other:?}"),
         }
         assert_eq!(router.session_infos().len(), 1);
+    }
+
+    /// The one panic fence, both shapes it guards. A single command and
+    /// a `--coalesce` drained batch that panic must leave the same
+    /// wreck behind: the session listed `failed`, its published view
+    /// withdrawn, the `session_failed` gauge up, one fenced failure in
+    /// the summary — and every waiting client answered with the same
+    /// error. Every command is queued *before* the engine loop starts,
+    /// so which ones the drain finds waiting is deterministic.
+    #[test]
+    fn fence_holds_for_single_commands_and_drained_batches() {
+        let snap = ft4();
+        let mut gen = ScenarioGen::new(23);
+        let clean = write_trace(&dna_io::Trace::from_changesets(vec![gen
+            .generate(&snap, ScenarioKind::LinkFailure)
+            .unwrap()]));
+        // Per shape: load, then a clean ingest, the poisoned one, and
+        // another clean one queued behind it.
+        let wreck = |name: &str, coalesce: usize| -> Vec<Response> {
+            let config = SessionConfig {
+                coalesce,
+                ..SessionConfig::default()
+            };
+            let slot = Arc::new(ViewSlot::new());
+            let (tx, rx) = mpsc::channel();
+            let replies: Vec<mpsc::Receiver<String>> = [
+                Work::Load(Box::new((None, snap.clone()))),
+                Work::IngestText(clean.clone()),
+                Work::IngestText(poison_trace()),
+                Work::IngestText(clean.clone()),
+            ]
+            .into_iter()
+            .map(|work| {
+                let (reply, reply_rx) = mpsc::channel();
+                tx.send(SessionCmd {
+                    work,
+                    reply,
+                    enqueued: std::time::Instant::now(),
+                    epochs_hint: 0,
+                })
+                .expect("queue open");
+                reply_rx
+            })
+            .collect();
+            let info = Arc::new(Mutex::new(None));
+            let (shared, view, session) = (Arc::clone(&info), Arc::clone(&slot), name.to_string());
+            let engine = std::thread::spawn(move || {
+                session_loop(
+                    SessionCell::new(session, config, Some(view), None),
+                    rx,
+                    &shared,
+                )
+            });
+            let replies: Vec<Response> = replies
+                .iter()
+                .map(|rx| parse_response(&rx.recv().expect("every client is answered")).unwrap())
+                .collect();
+            // The wreck, observed while the engine loop is still alive.
+            let listed = crate::lock(&info)
+                .clone()
+                .expect("a wrecked session stays listed");
+            assert!(listed.failed, "{name}: listing must flag the wreck");
+            assert!(slot.load().1.is_none(), "{name}: view must be withdrawn");
+            let registry = dna_obs::global();
+            assert_eq!(
+                registry.gauge_for("session_failed", name).get(),
+                1,
+                "{name}"
+            );
+            assert_eq!(
+                registry.counter_for("view_withdrawals", name).get(),
+                1,
+                "{name}"
+            );
+            drop(tx);
+            let summary = engine.join().expect("the fence keeps the thread alive");
+            assert_eq!(summary.failures, 1, "{name}: exactly one fenced panic");
+            replies
+        };
+        let failure = |name: &str| {
+            Response::Error(format!(
+                "session {name:?} failed: fault injected: epoch label {:?} (DNA_SERVE_FAULT_LABEL)",
+                crate::env::fault_label().unwrap()
+            ))
+        };
+
+        // Shape 1 — single commands: the clean ingest ahead of the
+        // poison applies; the poison trips the fence; the one behind
+        // it meets the fence already up.
+        let single = wreck("fence-shape-single", 0);
+        assert!(matches!(single[0], Response::Loaded { .. }), "{single:?}");
+        assert!(
+            matches!(single[1], Response::Ingested { epochs: 1, .. }),
+            "{single:?}"
+        );
+        assert_eq!(single[2..], vec![failure("fence-shape-single"); 2]);
+
+        // Shape 2 — a drained batch: the first ingest finds the other
+        // two queued behind it and the three ride one batch, so the
+        // panic fails all three clients — including the clean ingest
+        // *ahead* of the poison, which proves the batch path ran.
+        let batch = wreck("fence-shape-batch", 4);
+        assert!(matches!(batch[0], Response::Loaded { .. }), "{batch:?}");
+        assert_eq!(batch[1..], vec![failure("fence-shape-batch"); 3]);
     }
 }

@@ -16,15 +16,16 @@
 //! `error` responses — the server never dies on bad bytes.
 //!
 //! Threading: the dataflow engine is deliberately thread-local (`Rc`
-//! internals), so the [`SessionManager`] never crosses threads. The
+//! internals), so a [`SessionManager`] never crosses threads. The
 //! single-stream loop ([`serve_stream`]) runs wherever the manager
-//! lives; multi-client service (stdin tail + unix-socket queries) runs
-//! a **broker**: pump threads own the sockets and exchange raw artifact
-//! text — plain `Send` strings — with the one engine thread over
-//! channels ([`run_broker`] / [`pump_stream`] / [`accept_loop`]).
+//! lives; multi-client service (stdin tail, `--follow`, unix-socket and
+//! TCP clients) runs behind the [`crate::Router`]: pump threads own the
+//! sockets and exchange raw artifact text — plain `Send` strings — with
+//! the engine side over channels ([`pump_stream`] / [`accept_loop`]).
 
-use crate::session::SessionManager;
-use dna_io::{parse_query, parse_snapshot, parse_trace, write_response, Artifact, Response};
+use crate::classify::{classify, Classified};
+use crate::engine::{Reply, SessionManager};
+use dna_io::Response;
 use std::io::{self, BufRead, Write};
 use std::sync::mpsc;
 
@@ -55,25 +56,18 @@ impl ServeSummary {
         self.failures += other.failures;
     }
 
-    /// Counts a telemetry (`metrics`/`trace`) query answered directly
-    /// from the process-global registry: the reply is a metrics/spans
-    /// artifact, not a `response`, so [`ServeSummary::count`] never
-    /// sees it.
-    pub(crate) fn count_obs(&mut self) {
-        self.artifacts += 1;
-        self.queries += 1;
-    }
-
-    pub(crate) fn count(&mut self, response: &Response, epochs_applied: u64) {
+    pub(crate) fn count(&mut self, reply: &Reply, epochs_applied: u64) {
         self.artifacts += 1;
         // Epoch accounting comes from the session layer, not the
         // response kind: a trace failing mid-stream answers `error` yet
         // has applied its earlier epochs, and the summary must say so.
         self.epochs += epochs_applied;
-        match response {
-            Response::Error(_) => self.errors += 1,
-            Response::Ingested { .. } | Response::Loaded { .. } => {}
-            _ => self.queries += 1,
+        match reply {
+            Reply::Response(Response::Error(_)) => self.errors += 1,
+            Reply::Response(Response::Ingested { .. } | Response::Loaded { .. }) => {}
+            // Every other `response` answers a query — as do the raw
+            // replies (telemetry scrapes, notify artifacts).
+            Reply::Response(_) | Reply::Raw(_) => self.queries += 1,
         }
     }
 }
@@ -101,90 +95,30 @@ pub fn read_artifact(input: &mut impl BufRead) -> io::Result<Option<String>> {
     }
 }
 
-/// Dispatches one inbound artifact, returning the one response it maps
-/// to plus the number of change epochs the artifact applied (nonzero
-/// only for traces — including a trace whose response is an error after
-/// a mid-stream failure). `stream_session` is the ingest target for
-/// snapshot/trace artifacts (queries name their own session); `None`
-/// targets the manager's default session.
+/// Dispatches one inbound artifact on the manager's own thread,
+/// returning the one `response` it maps to plus the number of change
+/// epochs the artifact applied (nonzero only for traces — including a
+/// trace whose response is an error after a mid-stream failure).
+/// `stream_session` is the ingest target for snapshot/trace artifacts
+/// (queries name their own session); `None` targets the manager's
+/// default session. A query answered with another artifact kind
+/// (telemetry, notifies) needs [`serve_stream`], not this typed face.
 pub fn handle_artifact(
     mgr: &mut SessionManager,
     stream_session: Option<&str>,
     text: &str,
 ) -> (Response, u64) {
-    let kind = match dna_io::sniff(text) {
-        Ok((_, kind)) => kind,
-        Err(e) => return (Response::Error(e.to_string()), 0),
-    };
-    let response = match kind {
-        Artifact::Snapshot => match parse_snapshot(text) {
-            Ok(snap) => {
-                let name = stream_session
-                    .or(mgr.default_session())
-                    .unwrap_or("main")
-                    .to_string();
-                mgr.open(&name, snap).unwrap_or_else(Response::Error)
-            }
-            Err(e) => Response::Error(e.to_string()),
-        },
-        Artifact::Trace => {
-            let start = std::time::Instant::now();
-            match parse_trace(text) {
-                Ok(trace) => {
-                    // The parse already happened; hand its cost to the
-                    // session so epoch lifecycle spans start at the wire.
-                    let parse_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                    return mgr.ingest_trace_timed(stream_session, &trace, parse_ns);
-                }
-                Err(e) => Response::Error(e.to_string()),
-            }
-        }
-        Artifact::Query => match parse_query(text) {
-            Ok(q) => mgr.answer(&q),
-            Err(e) => Response::Error(e.to_string()),
-        },
-        // An inbound checkpoint artifact resumes its session — the
-        // streamed twin of `dna serve --resume` (a streamed artifact
-        // has no file, so `ref` snapshots resolve against the server's
-        // working directory). The session name comes from the artifact,
-        // not the stream binding: a checkpoint *is* a named session.
-        Artifact::Checkpoint => match dna_io::parse_checkpoint(text) {
-            Ok(ckpt) => match crate::session::resolve_checkpoint_snapshot(&ckpt, None) {
-                Ok(snapshot) => mgr
-                    .resume_checkpoint(&ckpt, snapshot)
-                    .unwrap_or_else(Response::Error),
-                Err(e) => Response::Error(e),
-            },
-            Err(e) => Response::Error(e.to_string()),
-        },
-        Artifact::Report
-        | Artifact::Response
-        | Artifact::Metrics
-        | Artifact::Spans
-        | Artifact::History
-        | Artifact::Health
-        | Artifact::Notify => Response::Error(format!("cannot serve a {kind} artifact")),
-    };
-    (response, 0)
-}
-
-/// Answers the standing-query commands (`subscribe` / `unsubscribe` /
-/// `notifications`) whose replies are `notify` artifacts, not
-/// `response`s — the transports dispatch these before
-/// [`handle_artifact`], mirroring how telemetry queries are intercepted
-/// (see [`crate::obs::obs_reply`]). `None` for anything else, including
-/// malformed queries (the normal path owns that error story).
-pub fn subscription_reply(mgr: &SessionManager, text: &str) -> Option<String> {
-    let (_, kind) = dna_io::sniff(text).ok()?;
-    if kind != Artifact::Query {
-        return None;
+    match mgr.execute(classify(text, stream_session).action) {
+        (Reply::Response(response), epochs) => (response, epochs),
+        (Reply::Raw(_), epochs) => (
+            Response::Error("the reply is not a response artifact; use serve_stream".into()),
+            epochs,
+        ),
     }
-    let q = parse_query(text).ok()?;
-    mgr.subscription_reply(&q)
 }
 
 /// Runs one serve loop on the manager's own thread: artifacts from
-/// `input`, responses to `output`, until end of input.
+/// `input`, replies to `output`, until end of input.
 pub fn serve_stream(
     mgr: &mut SessionManager,
     stream_session: Option<&str>,
@@ -194,39 +128,21 @@ pub fn serve_stream(
     let mut summary = ServeSummary::default();
     while let Some(text) = read_artifact(input)? {
         let started = std::time::Instant::now();
-        // Telemetry queries are answered at the transport, straight
-        // from the process-global registry — the engine never blocks a
-        // scrape (see [`crate::obs`]).
-        if let Some(reply) = crate::obs::obs_reply(&text) {
-            summary.count_obs();
-            crate::obs::record_query_span("pipe", &text, started.elapsed());
-            output.write_all(reply.as_bytes())?;
-            output.flush()?;
-            continue;
-        }
-        // Standing-query commands answer with notify artifacts, so they
-        // are dispatched ahead of the one-response-per-artifact path.
-        if let Some(reply) = subscription_reply(mgr, &text) {
-            summary.count_obs();
-            crate::obs::record_query_span("pipe", &text, started.elapsed());
-            output.write_all(reply.as_bytes())?;
-            output.flush()?;
-            continue;
-        }
-        let (response, epochs_applied) = handle_artifact(mgr, stream_session, &text);
-        crate::obs::record_query_span("pipe", &text, started.elapsed());
-        summary.count(&response, epochs_applied);
-        output.write_all(write_response(&response).as_bytes())?;
-        // One response per artifact is the unit of interaction: flush so
+        let Classified { action, query } = classify(&text, stream_session);
+        let (reply, epochs_applied) = mgr.execute(action);
+        crate::obs::record_query_span("pipe", query, started.elapsed());
+        summary.count(&reply, epochs_applied);
+        output.write_all(reply.into_text().as_bytes())?;
+        // One reply per artifact is the unit of interaction: flush so
         // pipe/socket clients are never left waiting on a full buffer.
         output.flush()?;
     }
     Ok(summary)
 }
 
-/// One brokered request: an inbound artifact's text and the channel its
-/// serialized response goes back on. Both sides are plain strings, so
-/// requests cross threads even though the engine cannot.
+/// One request to the engine side: an inbound artifact's text and the
+/// channel its serialized reply goes back on. Both sides are plain
+/// strings, so requests cross threads even though the engine cannot.
 pub struct Request {
     /// Raw artifact text as framed off the wire.
     pub text: String,
@@ -239,43 +155,10 @@ pub struct Request {
     pub reply: mpsc::Sender<String>,
 }
 
-/// The engine side of the broker: processes requests in arrival order
-/// until every [`Request`] sender is dropped. Ingest and queries from
-/// different clients interleave here at artifact granularity — a query
-/// never observes a half-applied epoch. Returns the cross-client
-/// summary. (The single-engine-thread sibling of
-/// `Router::run`, which gives every session its own
-/// engine thread instead.)
-pub fn run_broker(mgr: &mut SessionManager, requests: mpsc::Receiver<Request>) -> ServeSummary {
-    let mut summary = ServeSummary::default();
-    for req in requests {
-        let started = std::time::Instant::now();
-        if let Some(reply) = crate::obs::obs_reply(&req.text) {
-            summary.count_obs();
-            crate::obs::record_query_span("broker", &req.text, started.elapsed());
-            let _ = req.reply.send(reply);
-            continue;
-        }
-        if let Some(reply) = subscription_reply(mgr, &req.text) {
-            summary.count_obs();
-            crate::obs::record_query_span("broker", &req.text, started.elapsed());
-            let _ = req.reply.send(reply);
-            continue;
-        }
-        let (response, epochs_applied) = handle_artifact(mgr, req.session.as_deref(), &req.text);
-        crate::obs::record_query_span("broker", &req.text, started.elapsed());
-        summary.count(&response, epochs_applied);
-        // A client that hung up before its answer is not an engine
-        // problem; drop the response.
-        let _ = req.reply.send(write_response(&response));
-    }
-    summary
-}
-
-/// The client side of the broker: frames artifacts off `input`, ships
-/// them to the engine thread, writes the replies to `output` in order.
-/// Returns the number of artifacts pumped (end of input, broker gone,
-/// or client gone all end the pump).
+/// The client side of the engine channel: frames artifacts off `input`,
+/// ships them to the engine side, writes the replies to `output` in
+/// order. Returns the number of artifacts pumped (end of input, engine
+/// side gone, or client gone all end the pump).
 pub fn pump_stream(
     requests: &mpsc::Sender<Request>,
     input: &mut impl BufRead,
@@ -285,7 +168,7 @@ pub fn pump_stream(
 }
 
 /// [`pump_stream`] with the stream's snapshot/trace ingest bound to a
-/// session (the brokered twin of [`serve_stream`]'s `stream_session`;
+/// session (the channel twin of [`serve_stream`]'s `stream_session`;
 /// queries still name their own). For in-process pumps — wire clients
 /// have no session side-channel and always pump unbound.
 pub fn pump_stream_as(
@@ -296,19 +179,10 @@ pub fn pump_stream_as(
 ) -> io::Result<u64> {
     let mut pumped = 0;
     while let Some(text) = read_artifact(input)? {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if requests
-            .send(Request {
-                text,
-                session: session.map(str::to_string),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            break; // broker shut down
-        }
-        let Ok(response) = reply_rx.recv() else {
-            break; // broker shut down mid-request
+        // The engine side shutting down (mid-request or before) ends
+        // the pump like end of input does.
+        let Some(response) = submit(requests, text, session).and_then(|rx| rx.recv().ok()) else {
+            break;
         };
         pumped += 1;
         output.write_all(response.as_bytes())?;
@@ -317,11 +191,28 @@ pub fn pump_stream_as(
     Ok(pumped)
 }
 
+/// Ships one artifact to the engine side, returning the channel its
+/// reply arrives on — `None` when the engine side has shut down.
+pub(crate) fn submit(
+    requests: &mpsc::Sender<Request>,
+    text: String,
+    session: Option<&str>,
+) -> Option<mpsc::Receiver<String>> {
+    let (reply, reply_rx) = mpsc::channel();
+    let session = session.map(str::to_string);
+    let sent = requests.send(Request {
+        text,
+        session,
+        reply,
+    });
+    sent.is_ok().then_some(reply_rx)
+}
+
 /// How many shipped epochs a follower lets run ahead of their
 /// acknowledgements: deep enough that a burst presents the engine a
 /// real backlog (the `--coalesce` drain caps merges well below this),
 /// bounded so a runaway writer cannot queue unbounded epochs in the
-/// broker.
+/// router.
 const FOLLOW_WINDOW: usize = 32;
 
 /// File-tail ingest (`dna serve --follow`): follows a growing trace
@@ -343,7 +234,7 @@ const FOLLOW_WINDOW: usize = 32;
 /// instead of one round-trip at a time. That is what lets a fast
 /// writer build a real ingest backlog — which `--coalesce` then drains
 /// as merged commits — while the window bound keeps a runaway writer
-/// from queueing unbounded epochs in the broker. Acknowledgements are
+/// from queueing unbounded epochs in the router. Acknowledgements are
 /// always fully drained before the follower sleeps at a quiet EOF and
 /// before it returns, so error reporting lags a stalled stream by at
 /// most one poll, never indefinitely.
@@ -468,16 +359,7 @@ pub fn follow_trace(
             let artifact = dna_io::write_trace(&dna_io::Trace {
                 epochs: vec![epoch],
             });
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let sent = requests.send(Request {
-                text: artifact,
-                session: session.map(str::to_string),
-                reply: reply_tx,
-            });
-            if sent.is_err() {
-                return Err(engine_gone());
-            }
-            pending.push_back(reply_rx);
+            pending.push_back(submit(requests, artifact, session).ok_or_else(engine_gone)?);
             shipped += 1;
             while pending.len() >= FOLLOW_WINDOW {
                 drain_one(&mut pending)?;
@@ -516,8 +398,8 @@ fn tail_rotated(path: &std::path::Path, file: &std::fs::File, consumed: u64) -> 
 }
 
 /// Accepts unix-socket connections forever, pumping each on its own
-/// thread into the broker. Holds a [`Request`] sender for as long as it
-/// runs, keeping the broker alive after stdin ends. Accept errors
+/// thread into the engine side. Holds a [`Request`] sender for as long
+/// as it runs, keeping the router alive after stdin ends. Accept errors
 /// (EINTR, fd exhaustion under load, ...) are transient for a daemon:
 /// they are reported to stderr and the loop keeps accepting — one bad
 /// accept must not leave a healthy-looking server deaf to new clients.
@@ -633,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn broker_serves_requests_from_other_threads() {
+    fn pumped_requests_are_served_from_other_threads() {
         let (tx, rx) = mpsc::channel();
         let client = std::thread::spawn(move || {
             let stream = format!(
@@ -649,9 +531,8 @@ mod tests {
                 pump_stream(&tx, &mut io::Cursor::new(stream.into_bytes()), &mut out).unwrap();
             (pumped, String::from_utf8(out).unwrap())
         });
-        // The engine never leaves this thread; only strings cross.
-        let mut mgr = SessionManager::new(Default::default());
-        let summary = run_broker(&mut mgr, rx);
+        // Engines never leave their session threads; only strings cross.
+        let summary = crate::Router::new(Default::default()).run(rx);
         let (pumped, out) = client.join().unwrap();
         assert_eq!(pumped, 2);
         assert_eq!(summary.artifacts, 2);

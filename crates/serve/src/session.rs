@@ -4,27 +4,28 @@
 //! (plus an optional [`dna_core::ScratchDiffer`] verification shadow),
 //! ingests change epochs incrementally, and retains a bounded window of
 //! canonical per-epoch diffs so history queries (blast radius, report
-//! ranges) are answered from memory. A [`SessionManager`] owns several
-//! named sessions — one per loaded snapshot — enabling concurrent
-//! scenarios against one server.
+//! ranges) are answered from memory. Named sessions — one per loaded
+//! snapshot — are hosted by the executors in [`crate::engine`] and
+//! [`crate::router`].
 //!
 //! Every query is answered from incrementally maintained state; nothing
 //! on the query path re-simulates the network.
 
+use crate::read::ReadState;
 use crate::subs::{InvariantCheck, NotifyHub, SubKind, SubscriptionRegistry};
 use crate::view::{QueryView, ViewSlot};
 use data_plane::Outcome;
 use dna_core::{ReplayCheckpoint, ReplayMode, ReplaySession, ReplayTotals};
 use dna_io::{
     Checkpoint, CheckpointConfig, CheckpointSource, CheckpointTotals, EpochDiff, Notify,
-    NotifyEvent, Query, QueryKind, Response, ServiceStats, SessionInfo, SubscriptionSpec, Trace,
+    NotifyEvent, QueryKind, Response, ServiceStats, SessionInfo, SubscriptionSpec, Trace,
     TraceEpoch,
 };
 use dna_obs::EpochSpan;
-use net_model::{Flow, Snapshot};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use net_model::{Flow, Ipv4Addr, Snapshot};
+use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-session policy, fixed at open time.
@@ -67,6 +68,16 @@ impl Default for SessionConfig {
             checkpoint_dir: None,
             checkpoint_every: 0,
             coalesce: 0,
+        }
+    }
+}
+
+impl SessionConfig {
+    fn replay_mode(&self) -> ReplayMode {
+        if self.verify {
+            ReplayMode::Both
+        } else {
+            ReplayMode::Differential
         }
     }
 }
@@ -248,41 +259,38 @@ pub struct Session {
     obs: SessionObs,
 }
 
-/// Locks a session's subscription registry even when a previous holder
-/// panicked mid-update: every mutation under the lock is registry
-/// bookkeeping, valid at each instruction boundary, so poison carries
-/// no information — and must never fail the ingest path.
-fn lock_subs(m: &Mutex<SubscriptionRegistry>) -> MutexGuard<'_, SubscriptionRegistry> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Session {
     /// Opens a session: runs the one-time from-scratch initialization of
     /// the differential engine (and the shadow when `config.verify`),
     /// fanned out over `config.shards` bring-up workers.
     pub fn open(name: &str, snapshot: Snapshot, config: SessionConfig) -> Result<Self, String> {
-        let mode = if config.verify {
-            ReplayMode::Both
-        } else {
-            ReplayMode::Differential
-        };
-        let mut replay = ReplaySession::with_shards(snapshot, mode, config.shards)
+        let replay = ReplaySession::with_shards(snapshot, config.replay_mode(), config.shards)
             .map_err(|e| format!("session {name:?}: initial analysis: {e}"))?;
+        Ok(Session::around(name.to_string(), replay, config, 0))
+    }
+
+    /// A session around a brought-up engine, with an empty history.
+    fn around(
+        name: String,
+        mut replay: ReplaySession,
+        config: SessionConfig,
+        mismatches: u64,
+    ) -> Self {
         // Per-epoch stat records serve the same history window as the
         // diff history; both stay bounded on an unbounded stream.
         replay.set_stats_retention(config.retain);
-        Ok(Session {
-            name: name.to_string(),
+        Session {
+            obs: SessionObs::new(&name),
+            name,
             replay,
             config,
             history: VecDeque::new(),
             history_bytes: 0,
-            mismatches: 0,
+            mismatches,
             view: None,
             subs: Mutex::new(SubscriptionRegistry::default()),
             hub: None,
-            obs: SessionObs::new(name),
-        })
+        }
     }
 
     /// Rebuilds a session from a checkpoint plus its (already resolved)
@@ -316,11 +324,6 @@ impl Session {
             checkpoint_every: server.checkpoint_every,
             coalesce: server.coalesce,
         };
-        let mode = if config.verify {
-            ReplayMode::Both
-        } else {
-            ReplayMode::Differential
-        };
         let t = &ckpt.totals;
         let replay_ckpt = ReplayCheckpoint {
             snapshot,
@@ -336,21 +339,9 @@ impl Session {
                 total_time: Duration::from_nanos(t.total_ns),
             },
         };
-        let mut replay = ReplaySession::resume(replay_ckpt, mode, config.shards)
+        let replay = ReplaySession::resume(replay_ckpt, config.replay_mode(), config.shards)
             .map_err(|e| format!("session {name:?}: resume analysis: {e}"))?;
-        replay.set_stats_retention(config.retain);
-        let mut session = Session {
-            obs: SessionObs::new(&name),
-            name,
-            replay,
-            config,
-            history: VecDeque::new(),
-            history_bytes: 0,
-            mismatches: ckpt.mismatches,
-            view: None,
-            subs: Mutex::new(SubscriptionRegistry::default()),
-            hub: None,
-        };
+        let mut session = Session::around(name, replay, config, ckpt.mismatches);
         for (index, diff) in &ckpt.history {
             session.push_history(*index, diff.clone());
         }
@@ -454,66 +445,37 @@ impl Session {
         self.replay.snapshot()
     }
 
-    /// The underlying replay session (stats, engine access).
-    pub fn replay(&self) -> &ReplaySession {
-        &self.replay
-    }
-
     /// Applies one change epoch incrementally. Returns the flow-diff
     /// count of the epoch. On error nothing is applied.
     pub fn ingest(&mut self, epoch: &TraceEpoch) -> Result<usize, String> {
-        self.ingest_timed(epoch, 0)
+        self.ingest_coalesced(&[epoch], 0)
     }
 
-    /// [`Session::ingest`] with the wire-parse time the caller already
-    /// spent on this epoch, so the recorded lifecycle span covers the
-    /// whole parse → control-plane → data-plane → publish pipeline
-    /// (pass 0 when the epoch never crossed a wire).
-    pub fn ingest_timed(&mut self, epoch: &TraceEpoch, parse_ns: u64) -> Result<usize, String> {
-        let start = Instant::now();
-        self.obs.acct.beat();
-        let out = self
-            .replay
-            .step(&epoch.changes)
-            .map_err(|e| format!("session {:?}: epoch {}: {e}", self.name, self.epochs()))?;
-        if out.analyzers_agree() == Some(false) {
-            self.mismatches += 1;
-        }
-        let index = out.index;
-        let diff = EpochDiff::from_behavior(epoch.label.clone(), out.primary());
-        let flows = self.push_history(index, diff);
-        self.commit_epilogue(
-            index,
-            epoch.label.clone(),
-            epoch.changes.len(),
-            1,
-            parse_ns,
-            start,
-            flows,
-        );
-        Ok(flows)
-    }
-
-    /// Applies several pending change epochs as **one** dataflow commit
-    /// (see [`dna_core::ReplaySession::step_coalesced`]): the backlog
-    /// drain path behind `--coalesce`. One engine commit, one retained
-    /// history record carrying the merged `coalesced(N): ...` label
-    /// (documented in FORMAT.md), one view publish, one lifecycle span.
-    /// The final engine state is identical to ingesting the epochs one
-    /// by one; what is lost is the N-1 intermediate history records.
-    /// Atomic: on error nothing is applied (callers wanting stream
-    /// semantics fall back to per-epoch ingest — the router does).
+    /// Applies pending change epochs as **one** dataflow commit (see
+    /// [`dna_core::ReplaySession::step_coalesced`]) — a single epoch
+    /// per commit ordinarily, several on the backlog drain path behind
+    /// `--coalesce`. `parse_ns` is the wire-parse time the caller
+    /// already spent on these epochs, so the recorded lifecycle span
+    /// covers the whole parse → control-plane → data-plane → publish
+    /// pipeline (0 when they never crossed a wire). One engine commit,
+    /// one retained history record (several epochs carry the merged
+    /// `coalesced(N): ...` label documented in FORMAT.md), one view
+    /// publish, one lifecycle span. The final engine state is identical
+    /// to ingesting the epochs one by one; what is lost is the N-1
+    /// intermediate history records. Returns the commit's flow-diff
+    /// count. Atomic: on error nothing is applied (callers wanting
+    /// stream semantics fall back to per-epoch ingest — the router
+    /// does).
     pub fn ingest_coalesced(
         &mut self,
         epochs: &[&TraceEpoch],
         parse_ns: u64,
     ) -> Result<usize, String> {
-        if let [single] = epochs {
-            return self.ingest_timed(single, parse_ns);
-        }
-        if epochs.is_empty() {
-            return Ok(0);
-        }
+        let label = match epochs {
+            [] => return Ok(0),
+            [single] => single.label.clone(),
+            many => Some(coalesced_label(many)),
+        };
         let start = Instant::now();
         self.obs.acct.beat();
         let out = self
@@ -524,7 +486,6 @@ impl Session {
             self.mismatches += 1;
         }
         let index = out.index;
-        let label = Some(coalesced_label(epochs));
         let diff = EpochDiff::from_behavior(label.clone(), out.primary());
         let flows = self.push_history(index, diff);
         // N epochs, one commit: N-1 engine commits amortized away.
@@ -650,14 +611,10 @@ impl Session {
     /// flow diffs produced)`. Stops at the first failing epoch; earlier
     /// epochs stay applied (stream semantics), so the error side also
     /// carries how many were — state mutation is never misreported.
-    pub fn ingest_trace(&mut self, trace: &Trace) -> Result<(usize, usize), (usize, String)> {
-        self.ingest_trace_timed(trace, 0)
-    }
-
-    /// [`Session::ingest_trace`] with the wire-parse time the caller
-    /// spent on the whole trace artifact, amortized evenly across its
-    /// epochs for the recorded lifecycle spans (a trace parses as one
-    /// artifact; per-epoch parse cost is not separately observable).
+    /// `parse_ns` is the wire-parse time the caller spent on the whole
+    /// trace artifact, amortized evenly across its epochs for the
+    /// recorded lifecycle spans (a trace parses as one artifact;
+    /// per-epoch parse cost is not separately observable).
     pub fn ingest_trace_timed(
         &mut self,
         trace: &Trace,
@@ -666,7 +623,7 @@ impl Session {
         let per_epoch_ns = parse_ns / trace.epochs.len().max(1) as u64;
         let mut flows = 0;
         for (applied, ep) in trace.epochs.iter().enumerate() {
-            match self.ingest_timed(ep, per_epoch_ns) {
+            match self.ingest_coalesced(&[ep], per_epoch_ns) {
                 Ok(n) => flows += n,
                 Err(e) => {
                     return Err((
@@ -681,42 +638,12 @@ impl Session {
 
     /// Answers one query against this session. Infallible at this layer:
     /// domain problems (unknown device, empty engine) come back as
-    /// [`Response::Error`].
+    /// [`Response::Error`]. The read-only kinds run the one
+    /// implementation in `read.rs` over the live state.
     pub fn answer(&self, kind: &QueryKind) -> Response {
         self.obs.acct.beat();
         self.obs.queries_answered.inc();
-        match kind {
-            QueryKind::Reach { src, flow } => self.reach(src, flow),
-            QueryKind::ReachPair { src, dst } => match self.resolve_dst(dst) {
-                Ok(flow) => self.reach(src, &flow),
-                Err(e) => Response::Error(e),
-            },
-            QueryKind::Blast { last } => self.blast(*last),
-            QueryKind::Report { from, to } => self.report(*from, *to),
-            QueryKind::Stats => Response::Stats(self.stats()),
-            QueryKind::Sessions => {
-                Response::Error("sessions is a server-level query; the manager answers it".into())
-            }
-            // Telemetry is process-global: every transport intercepts
-            // these before session dispatch (see [`crate::obs`]), so
-            // reaching a session is a routing bug surfaced as an error.
-            QueryKind::Metrics
-            | QueryKind::TraceSpans { .. }
-            | QueryKind::Health
-            | QueryKind::History { .. } => Response::Error(
-                "metrics/trace/health/history are server-level queries; the transport answers them"
-                    .into(),
-            ),
-            // Standing-query commands reply with notify artifacts, not
-            // responses: every transport dispatches them through
-            // [`Session::subscription_reply`] first, so reaching this
-            // arm is a routing bug surfaced as an error.
-            QueryKind::Subscribe(_)
-            | QueryKind::Unsubscribe { .. }
-            | QueryKind::Notifications { .. } => Response::Error(
-                "subscription queries are answered with notify artifacts; the transport dispatches them"
-                    .into(),
-            ),
+        crate::read::answer(self, kind).unwrap_or_else(|| match kind {
             QueryKind::Checkpoint => match self.write_checkpoint() {
                 Ok((_path, bytes)) => Response::Checkpointed {
                     session: self.name.clone(),
@@ -725,64 +652,27 @@ impl Session {
                 },
                 Err(e) => Response::Error(e),
             },
-        }
-    }
-
-    fn reach(&self, src: &str, flow: &Flow) -> Response {
-        if !self.snapshot().devices.contains_key(src) {
-            return Response::Error(format!("unknown source device {src:?}"));
-        }
-        match self.replay.query(src, flow) {
-            Some(outcomes) => Response::Reach { outcomes },
-            None => Response::Error("session has no live differential engine".into()),
-        }
-    }
-
-    /// Resolves an endpoint-pair destination to a representative flow:
-    /// a TCP/80 packet to the canonical (lowest-named interface)
-    /// address of `dst`. Deterministic, so responses are byte-stable.
-    fn resolve_dst(&self, dst: &str) -> Result<Flow, String> {
-        let dc = self
-            .snapshot()
-            .devices
-            .get(dst)
-            .ok_or_else(|| format!("unknown destination device {dst:?}"))?;
-        let (_, ic) = dc
-            .interfaces
-            .iter()
-            .next()
-            .ok_or_else(|| format!("destination device {dst:?} has no interfaces"))?;
-        Ok(Flow::tcp_to(ic.addr, 80))
-    }
-
-    fn blast(&self, last: usize) -> Response {
-        let window = last.min(self.history.len());
-        let mut flows = 0u64;
-        let mut devices: BTreeMap<&str, u64> = BTreeMap::new();
-        for rec in self.history.iter().rev().take(window) {
-            for f in &rec.diff.flows {
-                flows += 1;
-                *devices.entry(&f.src).or_insert(0) += 1;
+            QueryKind::Sessions => {
+                Response::Error("sessions is a server-level query; the manager answers it".into())
             }
-        }
-        Response::Blast {
-            epochs: window as u64,
-            flows,
-            devices: devices
-                .into_iter()
-                .map(|(d, n)| (d.to_string(), n))
-                .collect(),
-        }
-    }
-
-    fn report(&self, from: usize, to: usize) -> Response {
-        let epochs = self
-            .history
-            .iter()
-            .filter(|r| r.index >= from && r.index < to)
-            .map(|r| (r.index, (*r.diff).clone()))
-            .collect();
-        Response::Report { epochs }
+            // Standing-query commands reply with notify artifacts, not
+            // responses: the engine-side handler dispatches them through
+            // [`Session::subscription_reply`] first, so reaching this
+            // arm is a routing bug surfaced as an error.
+            QueryKind::Subscribe(_)
+            | QueryKind::Unsubscribe { .. }
+            | QueryKind::Notifications { .. } => Response::Error(
+                "subscription queries are answered with notify artifacts; the transport dispatches them"
+                    .into(),
+            ),
+            // Telemetry is process-global: the classifier answers it
+            // before session dispatch (see [`crate::classify`]), so
+            // reaching a session is a routing bug surfaced as an error.
+            _ => Response::Error(
+                "metrics/trace/health/history are server-level queries; the transport answers them"
+                    .into(),
+            ),
+        })
     }
 
     /// The session's statistics — counters and state sizes straight off
@@ -848,10 +738,7 @@ impl Session {
             .snapshot()
             .devices
             .iter()
-            .map(|(name, dc)| {
-                let addr = dc.interfaces.values().next().map(|ic| ic.addr);
-                (name.clone(), addr)
-            })
+            .map(|(name, dc)| (name.clone(), canonical_addr(dc)))
             .collect();
         let history: Vec<_> = self
             .history
@@ -867,13 +754,13 @@ impl Session {
                 .map(|(_, d)| 96 + d.flows.len() * 128)
                 .sum::<usize>();
         self.obs.acct.view_bytes.set(approx_bytes as u64);
-        slot.publish(Arc::new(QueryView::assemble(
-            self.name.clone(),
+        slot.publish(Arc::new(QueryView {
+            session: self.name.clone(),
             engine,
             devices,
             history,
-            self.stats(),
-        )));
+            stats: self.stats(),
+        }));
         let publish_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.obs.view_publishes.inc();
         self.obs.view_publish_us.observe_ns(publish_ns);
@@ -898,7 +785,7 @@ impl Session {
     /// path can block the engine (both queues are bounded, drop-oldest
     /// with `resync` markers).
     fn notify_subscriptions(&self, index: usize) {
-        let mut subs = lock_subs(&self.subs);
+        let mut subs = crate::lock(&self.subs);
         if subs.is_empty() {
             return;
         }
@@ -1000,14 +887,8 @@ impl Session {
     /// answer — the view is materialized once here; commits afterwards
     /// only diff against it.
     fn materialize(&self, spec: &SubscriptionSpec) -> Result<SubKind, String> {
-        let baseline = |src: &str, flow: &Flow| -> Result<BTreeSet<Outcome>, String> {
-            if !self.snapshot().devices.contains_key(src) {
-                return Err(format!("unknown source device {src:?}"));
-            }
-            self.replay
-                .query(src, flow)
-                .ok_or_else(|| "session has no live differential engine".to_string())
-        };
+        let baseline = |src: &str, flow: &Flow| crate::read::reach(self, src, flow);
+        let resolve_dst = |dst: &str| crate::read::resolve_dst(self, dst);
         Ok(match spec {
             SubscriptionSpec::Reach { src, flow } => SubKind::Reach {
                 last: baseline(src, flow)?,
@@ -1015,7 +896,7 @@ impl Session {
                 flow: *flow,
             },
             SubscriptionSpec::ReachPair { src, dst } => {
-                let flow = self.resolve_dst(dst)?;
+                let flow = resolve_dst(dst)?;
                 SubKind::Reach {
                     last: baseline(src, &flow)?,
                     src: src.clone(),
@@ -1031,7 +912,7 @@ impl Session {
                 }
             }
             SubscriptionSpec::NeverReach { src, dst } => {
-                let flow = self.resolve_dst(dst)?;
+                let flow = resolve_dst(dst)?;
                 SubKind::Invariant {
                     check: InvariantCheck::NeverReach { dst: dst.clone() },
                     last: baseline(src, &flow)?,
@@ -1050,7 +931,7 @@ impl Session {
 
     fn subscribe(&self, spec: &SubscriptionSpec) -> Result<Notify, String> {
         let kind = self.materialize(spec)?;
-        let mut subs = lock_subs(&self.subs);
+        let mut subs = crate::lock(&self.subs);
         let id = subs.insert(kind);
         self.obs.subscriptions_active.set(subs.len() as u64);
         drop(subs);
@@ -1058,7 +939,7 @@ impl Session {
     }
 
     fn unsubscribe(&self, id: u64) -> Result<Notify, String> {
-        let mut subs = lock_subs(&self.subs);
+        let mut subs = crate::lock(&self.subs);
         if !subs.remove(id) {
             return Err(format!("session {:?} has no subscription {id}", self.name));
         }
@@ -1068,7 +949,7 @@ impl Session {
     }
 
     fn notifications(&self, id: u64) -> Result<Notify, String> {
-        let events = lock_subs(&self.subs)
+        let events = crate::lock(&self.subs)
             .drain(id)
             .ok_or_else(|| format!("session {:?} has no subscription {id}", self.name))?;
         Ok(Notify {
@@ -1079,184 +960,27 @@ impl Session {
     }
 }
 
-/// Owner of the server's named sessions.
-pub struct SessionManager {
-    sessions: BTreeMap<String, Session>,
-    default: Option<String>,
-    config: SessionConfig,
-    hub: Option<Arc<NotifyHub>>,
+impl ReadState for Session {
+    fn device_addr(&self, device: &str) -> Option<Option<Ipv4Addr>> {
+        self.snapshot().devices.get(device).map(canonical_addr)
+    }
+
+    fn outcomes(&self, src: &str, flow: &Flow) -> Option<BTreeSet<Outcome>> {
+        self.replay.query(src, flow)
+    }
+
+    fn history(&self) -> impl DoubleEndedIterator<Item = (usize, &EpochDiff)> + ExactSizeIterator {
+        self.history.iter().map(|r| (r.index, &*r.diff))
+    }
+
+    fn stats(&self) -> ServiceStats {
+        Session::stats(self)
+    }
 }
 
-impl SessionManager {
-    /// An empty manager; sessions opened later inherit `config`.
-    pub fn new(config: SessionConfig) -> Self {
-        SessionManager {
-            sessions: BTreeMap::new(),
-            default: None,
-            config,
-            hub: None,
-        }
-    }
-
-    /// Attaches a notify hub: every current and future session pushes
-    /// its standing-query notifies through it (the single-threaded
-    /// broker's counterpart of [`crate::Router::with_notify_hub`]).
-    pub fn set_notify_hub(&mut self, hub: Arc<NotifyHub>) {
-        for session in self.sessions.values_mut() {
-            session.set_notify_hub(Arc::clone(&hub));
-        }
-        self.hub = Some(hub);
-    }
-
-    /// Opens (or replaces) the named session over a snapshot. The first
-    /// session opened becomes the default target for unaddressed
-    /// queries and stream ingest.
-    pub fn open(&mut self, name: &str, snapshot: Snapshot) -> Result<Response, String> {
-        let devices = snapshot.device_count() as u64;
-        let links = snapshot.links.len() as u64;
-        let mut session = Session::open(name, snapshot, self.config.clone())?;
-        if let Some(hub) = &self.hub {
-            session.set_notify_hub(Arc::clone(hub));
-        }
-        self.sessions.insert(name.to_string(), session);
-        if self.default.is_none() {
-            self.default = Some(name.to_string());
-        }
-        Ok(Response::Loaded {
-            session: name.to_string(),
-            devices,
-            links,
-        })
-    }
-
-    /// Opens (or replaces) a session by resuming a checkpoint; the
-    /// session keeps the name recorded inside the artifact. Like
-    /// [`SessionManager::open`], the first session becomes the default.
-    pub fn resume_checkpoint(
-        &mut self,
-        ckpt: &dna_io::Checkpoint,
-        snapshot: Snapshot,
-    ) -> Result<Response, String> {
-        let devices = snapshot.device_count() as u64;
-        let links = snapshot.links.len() as u64;
-        let mut session = Session::resume(ckpt, snapshot, &self.config)?;
-        if let Some(hub) = &self.hub {
-            session.set_notify_hub(Arc::clone(hub));
-        }
-        let name = session.name().to_string();
-        self.sessions.insert(name.clone(), session);
-        if self.default.is_none() {
-            self.default = Some(name.clone());
-        }
-        Ok(Response::Loaded {
-            session: name,
-            devices,
-            links,
-        })
-    }
-
-    /// The default session's name, once one is open.
-    pub fn default_session(&self) -> Option<&str> {
-        self.default.as_deref()
-    }
-
-    /// Number of open sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Direct access to a session (tests, bench).
-    pub fn session(&self, name: &str) -> Option<&Session> {
-        self.sessions.get(name)
-    }
-
-    fn resolve(&self, name: Option<&str>) -> Result<&Session, Response> {
-        let name = match name.or(self.default.as_deref()) {
-            Some(n) => n,
-            None => return Err(Response::Error("no session is open".into())),
-        };
-        self.sessions
-            .get(name)
-            .ok_or_else(|| Response::Error(format!("unknown session {name:?}")))
-    }
-
-    fn resolve_mut(&mut self, name: Option<&str>) -> Result<&mut Session, Response> {
-        let name = match name.or(self.default.as_deref()) {
-            Some(n) => n.to_string(),
-            None => return Err(Response::Error("no session is open".into())),
-        };
-        match self.sessions.get_mut(&name) {
-            Some(s) => Ok(s),
-            None => Err(Response::Error(format!("unknown session {name:?}"))),
-        }
-    }
-
-    /// Ingests a trace into the named (default: first-opened) session.
-    /// Returns the response plus the number of epochs actually applied —
-    /// nonzero even when the response is an error, since a trace failing
-    /// mid-stream leaves its earlier epochs applied.
-    pub fn ingest_trace(&mut self, session: Option<&str>, trace: &Trace) -> (Response, u64) {
-        self.ingest_trace_timed(session, trace, 0)
-    }
-
-    /// [`SessionManager::ingest_trace`] carrying the wire-parse time
-    /// the caller spent on the trace artifact (see
-    /// [`Session::ingest_trace_timed`]).
-    pub fn ingest_trace_timed(
-        &mut self,
-        session: Option<&str>,
-        trace: &Trace,
-        parse_ns: u64,
-    ) -> (Response, u64) {
-        let s = match self.resolve_mut(session) {
-            Ok(s) => s,
-            Err(r) => return (r, 0),
-        };
-        match s.ingest_trace_timed(trace, parse_ns) {
-            Ok((epochs, flows)) => (
-                Response::Ingested {
-                    session: s.name().to_string(),
-                    epochs: epochs as u64,
-                    flows: flows as u64,
-                    total: s.epochs() as u64,
-                },
-                epochs as u64,
-            ),
-            Err((applied, e)) => (Response::Error(e), applied as u64),
-        }
-    }
-
-    /// Answers one protocol query.
-    pub fn answer(&self, q: &Query) -> Response {
-        if q.kind == QueryKind::Sessions {
-            return Response::Sessions(self.sessions.values().map(Session::info).collect());
-        }
-        match self.resolve(q.session.as_deref()) {
-            Ok(s) => s.answer(&q.kind),
-            Err(r) => r,
-        }
-    }
-
-    /// Answers the standing-query commands, whose replies are `notify`
-    /// artifacts ([`Session::subscription_reply`] resolved through the
-    /// manager's session table); `None` for every other query kind, and
-    /// a serialized `error` response for resolution failures.
-    pub fn subscription_reply(&self, q: &Query) -> Option<String> {
-        if !matches!(
-            q.kind,
-            QueryKind::Subscribe(_)
-                | QueryKind::Unsubscribe { .. }
-                | QueryKind::Notifications { .. }
-        ) {
-            return None;
-        }
-        Some(match self.resolve(q.session.as_deref()) {
-            Ok(s) => s
-                .subscription_reply(&q.kind)
-                .expect("subscription kind checked above"),
-            Err(r) => dna_io::write_response(&r),
-        })
-    }
+/// A device's canonical address: that of its lowest-named interface.
+fn canonical_addr(dc: &net_model::DeviceConfig) -> Option<Ipv4Addr> {
+    dc.interfaces.values().next().map(|ic| ic.addr)
 }
 
 #[cfg(test)]
@@ -1539,84 +1263,5 @@ mod tests {
         }
         assert_eq!(s.mismatches(), 0, "analyzers must agree");
         assert_eq!(s.stats().mismatches, 0);
-    }
-
-    #[test]
-    fn partial_trace_failure_reports_applied_epochs() {
-        let ft = fat_tree(4, Routing::Ebgp);
-        let mut mgr = SessionManager::new(SessionConfig::default());
-        mgr.open("p", ft.snapshot.clone()).unwrap();
-        let mut gen = ScenarioGen::new(5);
-        let good = gen
-            .generate(&ft.snapshot, ScenarioKind::LinkFailure)
-            .unwrap();
-        let bad = net_model::ChangeSet::single(net_model::Change::DeviceDown("ghost".into()));
-        let trace = Trace::from_changesets(vec![good, bad]);
-        // The first epoch stays applied (stream semantics); the error
-        // response must not hide that from the caller's accounting.
-        let (resp, applied) = mgr.ingest_trace(Some("p"), &trace);
-        match resp {
-            Response::Error(msg) => assert!(msg.contains("1 earlier epoch"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
-        assert_eq!(applied, 1);
-        assert_eq!(mgr.session("p").unwrap().epochs(), 1);
-    }
-
-    #[test]
-    fn manager_serves_multiple_named_sessions() {
-        let ft4 = fat_tree(4, Routing::Ebgp);
-        let ft4b = fat_tree(4, Routing::Ospf);
-        let mut mgr = SessionManager::new(SessionConfig::default());
-        mgr.open("a", ft4.snapshot).unwrap();
-        mgr.open("b", ft4b.snapshot).unwrap();
-        assert_eq!(mgr.default_session(), Some("a"));
-        assert_eq!(mgr.session_count(), 2);
-        // Ingest into the non-default session only.
-        let mut gen = ScenarioGen::new(3);
-        let cs = gen
-            .generate(
-                mgr.session("b").unwrap().snapshot(),
-                ScenarioKind::LinkFailure,
-            )
-            .unwrap();
-        let trace = Trace::from_changesets(vec![cs]);
-        match mgr.ingest_trace(Some("b"), &trace) {
-            (Response::Ingested { session, total, .. }, applied) => {
-                assert_eq!(session, "b");
-                assert_eq!(total, 1);
-                assert_eq!(applied, 1);
-            }
-            (other, _) => panic!("expected ingested, got {other:?}"),
-        }
-        assert_eq!(mgr.session("a").unwrap().epochs(), 0);
-        assert_eq!(mgr.session("b").unwrap().epochs(), 1);
-        // Queries address sessions by name; unknown names are errors.
-        match mgr.answer(&Query {
-            session: None,
-            kind: QueryKind::Sessions,
-        }) {
-            Response::Sessions(list) => {
-                assert_eq!(
-                    list.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
-                    vec!["a", "b"]
-                );
-            }
-            other => panic!("expected sessions, got {other:?}"),
-        }
-        assert!(matches!(
-            mgr.answer(&Query {
-                session: Some("ghost".into()),
-                kind: QueryKind::Stats,
-            }),
-            Response::Error(_)
-        ));
-        match mgr.answer(&Query {
-            session: Some("b".into()),
-            kind: QueryKind::Stats,
-        }) {
-            Response::Stats(st) => assert_eq!((st.session.as_str(), st.epochs), ("b", 1)),
-            other => panic!("expected stats, got {other:?}"),
-        }
     }
 }

@@ -25,7 +25,7 @@ use data_plane::Outcome;
 use dna_io::{write_notify, Notify, NotifyEvent};
 use net_model::Flow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Events retained per subscription for the `notifications <id>` poll.
 /// Oldest events beyond the cap are dropped and surfaced as a `resync`.
@@ -188,14 +188,6 @@ impl SubscriptionRegistry {
     }
 }
 
-/// Recovers a hub guard even when a previous holder panicked while
-/// holding it: every mutation under the lock is queue bookkeeping,
-/// valid at each instruction boundary, so poison carries no
-/// information — and must never wedge the engine's publish path.
-fn lock_hub<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// One TCP connection's registration on the hub.
 struct Watcher {
     /// Set when the connection goes away; `wait` returns `None` and the
@@ -235,11 +227,11 @@ impl NotifyHub {
 
     /// Registers a connection, returning its watcher id.
     pub fn register(&self) -> u64 {
-        let mut next = lock_hub(&self.next_id);
+        let mut next = crate::lock(&self.next_id);
         *next += 1;
         let id = *next;
         drop(next);
-        lock_hub(&self.inner).insert(
+        crate::lock(&self.inner).insert(
             id,
             Watcher {
                 closed: false,
@@ -251,7 +243,7 @@ impl NotifyHub {
 
     /// Subscribes a watcher to pushes for (session, subscription id).
     pub fn watch(&self, watcher: u64, session: &str, sub: u64) {
-        if let Some(w) = lock_hub(&self.inner).get_mut(&watcher) {
+        if let Some(w) = crate::lock(&self.inner).get_mut(&watcher) {
             w.queues.entry((session.to_string(), sub)).or_default();
         }
     }
@@ -259,7 +251,7 @@ impl NotifyHub {
     /// Removes a connection; its pusher thread (if blocked in
     /// [`NotifyHub::wait`]) wakes and exits.
     pub fn unregister(&self, watcher: u64) {
-        if let Some(w) = lock_hub(&self.inner).get_mut(&watcher) {
+        if let Some(w) = crate::lock(&self.inner).get_mut(&watcher) {
             w.closed = true;
         }
         self.ready.notify_all();
@@ -268,7 +260,7 @@ impl NotifyHub {
     /// Whether any watcher is subscribed to (session, sub) — lets the
     /// engine skip rendering artifacts nobody is listening for.
     pub fn wanted(&self, session: &str, sub: u64) -> bool {
-        lock_hub(&self.inner)
+        crate::lock(&self.inner)
             .values()
             .any(|w| !w.closed && w.queues.contains_key(&(session.to_string(), sub)))
     }
@@ -278,7 +270,7 @@ impl NotifyHub {
     /// artifact and records the gap. Never blocks on I/O.
     pub fn publish(&self, session: &str, sub: u64, epoch: u64, artifact: &str) {
         let key = (session.to_string(), sub);
-        let mut inner = lock_hub(&self.inner);
+        let mut inner = crate::lock(&self.inner);
         let mut delivered = false;
         for w in inner.values_mut() {
             if w.closed {
@@ -307,7 +299,7 @@ impl NotifyHub {
     /// `resync` notify for any subscription whose queue overflowed.
     /// Returns `None` once the watcher is closed and drained.
     pub fn wait(&self, watcher: u64) -> Option<Vec<String>> {
-        let mut inner = lock_hub(&self.inner);
+        let mut inner = crate::lock(&self.inner);
         loop {
             let w = inner.get_mut(&watcher)?;
             let mut out = Vec::new();

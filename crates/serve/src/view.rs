@@ -17,59 +17,42 @@
 //! take only when the version moved. A reader that cached `(version,
 //! Arc<QueryView>)` answers an unchanged session without any lock at
 //! all; the mutex is held for a pointer clone, never for engine work.
-//! The mutex is poison-proof by construction (`lock_slot` recovers
-//! via [`PoisonError::into_inner`]) — a reader panic must never wedge
-//! publishing, nor the reverse.
+//! The mutex is poison-proof by construction (`crate::lock` recovers
+//! a poisoned guard) — a reader panic must never wedge publishing, nor
+//! the reverse.
 
+use crate::read::ReadState;
+use data_plane::Outcome;
 use dna_core::EngineView;
 use dna_io::{EpochDiff, QueryKind, Response, ServiceStats};
 use net_model::{Flow, Ipv4Addr};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// An immutable, self-contained answer table for one session at one
 /// epoch. Everything a read-only query needs is captured at publish
 /// time; answering never reaches back into the live session, so the
 /// engine thread and any number of readers proceed independently.
 ///
-/// Answers are byte-identical to the live session's: [`QueryView::answer`]
-/// mirrors `Session::answer` clause for clause (same resolution rules,
-/// same error strings), and both serialize through the one
-/// [`dna_io::write_response`].
+/// Answers are byte-identical to the live session's by construction:
+/// [`QueryView::answer`] and `Session::answer` run the one
+/// implementation in `read.rs` over their own state.
 pub struct QueryView {
-    session: String,
-    engine: EngineView,
+    pub(crate) session: String,
+    pub(crate) engine: EngineView,
     /// Destination resolution index: device name → canonical
     /// (lowest-named interface) address, `None` for a device with no
-    /// interfaces. Mirrors `Session::resolve_dst` exactly.
-    devices: BTreeMap<String, Option<Ipv4Addr>>,
+    /// interfaces.
+    pub(crate) devices: BTreeMap<String, Option<Ipv4Addr>>,
     /// The retained history window at capture time. `Arc` per epoch:
     /// publishing after epoch N shares N-1 diffs with the previous
     /// view instead of deep-copying the window every epoch.
-    history: Vec<(usize, Arc<EpochDiff>)>,
-    stats: ServiceStats,
+    pub(crate) history: Vec<(usize, Arc<EpochDiff>)>,
+    pub(crate) stats: ServiceStats,
 }
 
 impl QueryView {
-    /// Assembles a view from parts the session captures at publish
-    /// time (see `Session::publish_view`).
-    pub(crate) fn assemble(
-        session: String,
-        engine: EngineView,
-        devices: BTreeMap<String, Option<Ipv4Addr>>,
-        history: Vec<(usize, Arc<EpochDiff>)>,
-        stats: ServiceStats,
-    ) -> Self {
-        QueryView {
-            session,
-            engine,
-            devices,
-            history,
-            stats,
-        }
-    }
-
     /// The session this view was published by.
     pub fn session(&self) -> &str {
         &self.session
@@ -82,91 +65,29 @@ impl QueryView {
 
     /// Answers a read-only query from the captured state; `None` for
     /// the kinds a view cannot answer (`sessions` is server-level,
-    /// `checkpoint` mutates durable state) — those still route to the
-    /// engine thread.
+    /// `checkpoint` mutates durable state, standing-query commands
+    /// mutate the session) — those still route to the engine thread.
     pub fn answer(&self, kind: &QueryKind) -> Option<Response> {
-        Some(match kind {
-            QueryKind::Reach { src, flow } => self.reach(src, flow),
-            QueryKind::ReachPair { src, dst } => match self.resolve_dst(dst) {
-                Ok(flow) => self.reach(src, &flow),
-                Err(e) => Response::Error(e),
-            },
-            QueryKind::Blast { last } => self.blast(*last),
-            QueryKind::Report { from, to } => self.report(*from, *to),
-            QueryKind::Stats => Response::Stats(self.stats.clone()),
-            // `sessions` is server-level, `checkpoint` mutates durable
-            // state, telemetry queries are answered even earlier by the
-            // transport (see [`crate::obs`]), and standing-query
-            // commands mutate the session's subscription registry —
-            // none route here.
-            QueryKind::Sessions
-            | QueryKind::Checkpoint
-            | QueryKind::Metrics
-            | QueryKind::TraceSpans { .. }
-            | QueryKind::Health
-            | QueryKind::History { .. }
-            | QueryKind::Subscribe(_)
-            | QueryKind::Unsubscribe { .. }
-            | QueryKind::Notifications { .. } => return None,
-        })
-    }
-
-    fn reach(&self, src: &str, flow: &Flow) -> Response {
-        if !self.devices.contains_key(src) {
-            return Response::Error(format!("unknown source device {src:?}"));
-        }
-        Response::Reach {
-            outcomes: self.engine.query(src, flow),
-        }
-    }
-
-    fn resolve_dst(&self, dst: &str) -> Result<Flow, String> {
-        let addr = self
-            .devices
-            .get(dst)
-            .ok_or_else(|| format!("unknown destination device {dst:?}"))?;
-        match addr {
-            Some(addr) => Ok(Flow::tcp_to(*addr, 80)),
-            None => Err(format!("destination device {dst:?} has no interfaces")),
-        }
-    }
-
-    fn blast(&self, last: usize) -> Response {
-        let window = last.min(self.history.len());
-        let mut flows = 0u64;
-        let mut devices: BTreeMap<&str, u64> = BTreeMap::new();
-        for (_, diff) in self.history.iter().rev().take(window) {
-            for f in &diff.flows {
-                flows += 1;
-                *devices.entry(&f.src).or_insert(0) += 1;
-            }
-        }
-        Response::Blast {
-            epochs: window as u64,
-            flows,
-            devices: devices
-                .into_iter()
-                .map(|(d, n)| (d.to_string(), n))
-                .collect(),
-        }
-    }
-
-    fn report(&self, from: usize, to: usize) -> Response {
-        let epochs = self
-            .history
-            .iter()
-            .filter(|(i, _)| *i >= from && *i < to)
-            .map(|(i, diff)| (*i, (**diff).clone()))
-            .collect();
-        Response::Report { epochs }
+        crate::read::answer(self, kind)
     }
 }
 
-/// Recovers a slot guard even when a previous holder panicked while
-/// holding it: the data under the mutex is a pointer swap, valid at
-/// every instruction boundary, so poison carries no information here.
-fn lock_slot<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+impl ReadState for QueryView {
+    fn device_addr(&self, device: &str) -> Option<Option<Ipv4Addr>> {
+        self.devices.get(device).copied()
+    }
+
+    fn outcomes(&self, src: &str, flow: &Flow) -> Option<BTreeSet<Outcome>> {
+        Some(self.engine.query(src, flow))
+    }
+
+    fn history(&self) -> impl DoubleEndedIterator<Item = (usize, &EpochDiff)> + ExactSizeIterator {
+        self.history.iter().map(|(i, diff)| (*i, &**diff))
+    }
+
+    fn stats(&self) -> ServiceStats {
+        self.stats.clone()
+    }
 }
 
 /// One session's published-view cell. Writers ([`ViewSlot::publish`] /
@@ -191,7 +112,7 @@ impl ViewSlot {
 
     /// Publishes a new immutable view, replacing any previous one.
     pub fn publish(&self, view: Arc<QueryView>) {
-        let mut guard = lock_slot(&self.slot);
+        let mut guard = crate::lock(&self.slot);
         *guard = Some(view);
         // Bump inside the guard: a reader that sees the new version is
         // guaranteed to load at least this view, never an older one.
@@ -202,7 +123,7 @@ impl ViewSlot {
     /// one that has not published yet): readers fall back to routing
     /// through the engine thread, which owns the error story.
     pub fn clear(&self) {
-        let mut guard = lock_slot(&self.slot);
+        let mut guard = crate::lock(&self.slot);
         *guard = None;
         self.version.fetch_add(1, Ordering::Release);
     }
@@ -216,7 +137,7 @@ impl ViewSlot {
     /// Loads the current `(version, view)` pair through the mutex —
     /// the slow path, taken only when [`ViewSlot::version`] moved.
     pub fn load(&self) -> (u64, Option<Arc<QueryView>>) {
-        let guard = lock_slot(&self.slot);
+        let guard = crate::lock(&self.slot);
         // Version read under the guard pairs with the bump in
         // `publish`: the pair is always mutually consistent.
         (self.version.load(Ordering::Acquire), guard.clone())
@@ -279,14 +200,14 @@ impl ViewRegistry {
 
     /// The named session's slot, created (empty) if absent.
     pub fn slot(&self, name: &str) -> Arc<ViewSlot> {
-        let mut inner = lock_slot(&self.inner);
+        let mut inner = crate::lock(&self.inner);
         Arc::clone(inner.slots.entry(name.to_string()).or_default())
     }
 
     /// Records which session unaddressed queries resolve to (the
     /// router's default stream target; first session opened).
     pub fn set_default(&self, name: Option<&str>) {
-        lock_slot(&self.inner).default = name.map(str::to_string);
+        crate::lock(&self.inner).default = name.map(str::to_string);
     }
 
     /// Resolves a query's (optional) session name to its slot, if one
@@ -294,7 +215,7 @@ impl ViewRegistry {
     /// name returns `None` — the caller routes to the engine side,
     /// which owns the "unknown session" error.
     pub fn resolve(&self, session: Option<&str>) -> Option<Arc<ViewSlot>> {
-        let inner = lock_slot(&self.inner);
+        let inner = crate::lock(&self.inner);
         let name = session.or(inner.default.as_deref())?;
         inner.slots.get(name).map(Arc::clone)
     }
@@ -334,15 +255,15 @@ mod tests {
             dp_us: 0,
             total_us: 0,
         };
-        Arc::new(QueryView::assemble(
-            session.to_string(),
-            dna_core::DiffEngine::new(net_model::NetBuilder::new().router("r").build())
+        Arc::new(QueryView {
+            session: session.to_string(),
+            engine: dna_core::DiffEngine::new(net_model::NetBuilder::new().router("r").build())
                 .expect("one-router engine")
                 .view(),
-            BTreeMap::new(),
-            Vec::new(),
+            devices: BTreeMap::new(),
+            history: Vec::new(),
             stats,
-        ))
+        })
     }
 
     #[test]

@@ -1,16 +1,20 @@
-//! The health & accounting plane, end to end:
+//! The health & accounting plane, and transport parity, end to end:
 //!
 //! * `health` is a transport-level answer: the same registry state must
-//!   render **byte-identically** over all four transports — the pipe
-//!   server, the unix-socket broker, the router's engine channel, and
-//!   the TCP front door;
+//!   render **byte-identically** over every transport — the pipe
+//!   server, the router's engine channel (what the unix-socket and
+//!   `--follow` pumps forward to), and the TCP front door;
 //! * the watchdog semantics hold under forced conditions: a saturated
 //!   ingest queue degrades its session *and* the server rollup, while a
 //!   failed (panic-fenced) session stays contained — listed `failed`,
 //!   server still `ok`;
 //! * `history` carries enough to derive real rates: two samples
 //!   recorded around a live TCP ingest show a nonzero
-//!   `epochs_applied` per-second rate for the ingesting session.
+//!   `epochs_applied` per-second rate for the ingesting session;
+//! * transport parity holds for *everything*, not just `health`: one
+//!   script — every `QueryKind`, every inbound artifact kind, a
+//!   truncated artifact, unknown and absent session names — driven
+//!   through pipe, router channel and TCP answers byte-identically.
 //!
 //! Everything lives in ONE test function: the registry, history ring
 //! and span rings are process-global, so sequencing inside a single
@@ -20,11 +24,11 @@ use dna_io::{
     parse_health, parse_history, write_query, write_trace, HealthStatus, Query, QueryKind, Trace,
 };
 use dna_serve::{
-    query_tcp, run_broker, serve_stream, tcp_accept_loop, Request, Router, SessionConfig,
-    SessionManager, ViewRegistry,
+    query_tcp, read_artifact, serve_stream, tcp_accept_loop, Request, Router, Session,
+    SessionConfig, SessionManager, ViewRegistry,
 };
-use std::io::Cursor;
-use std::net::TcpListener;
+use std::io::{BufReader, Cursor, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
@@ -60,8 +64,156 @@ fn obs_samples(h: &dna_io::HistoryReport) -> Vec<dna_obs::Sample> {
         .collect()
 }
 
+/// Zeroes the three wall-clock fields of an `ok stats` reply (they
+/// vary run to run by design — see FORMAT.md); every other reply
+/// passes through untouched, so the comparison stays byte-exact.
+fn without_timings(reply: String) -> String {
+    match dna_io::parse_response(&reply) {
+        Ok(dna_io::Response::Stats(mut s)) => {
+            (s.cp_us, s.dp_us, s.total_us) = (0, 0, 0);
+            dna_io::write_response(&dna_io::Response::Stats(s))
+        }
+        _ => reply,
+    }
+}
+
+/// One artifact through the pipe transport: `serve_stream` over the
+/// (persistent) inline manager.
+fn via_pipe(mgr: &mut SessionManager, text: &str) -> String {
+    let mut out = Vec::new();
+    serve_stream(mgr, None, &mut Cursor::new(text.as_bytes()), &mut out).expect("pipe serve");
+    String::from_utf8(out).expect("utf-8")
+}
+
+/// One artifact through a router's engine-side request channel.
+fn via_channel(tx: &mpsc::Sender<Request>, text: &str) -> String {
+    let (reply, reply_rx) = mpsc::channel();
+    tx.send(Request {
+        text: text.to_string(),
+        session: None,
+        reply,
+    })
+    .expect("router request");
+    reply_rx.recv().expect("router reply")
+}
+
+/// A router (views and notify hub attached, as under `--listen`) behind
+/// a real TCP accept loop; returns its request channel and address.
+fn tcp_stack() -> (mpsc::Sender<Request>, String) {
+    let views = Arc::new(ViewRegistry::new());
+    let hub = Arc::new(dna_serve::NotifyHub::new());
+    let router = Router::new(SessionConfig::default())
+        .with_views(Arc::clone(&views))
+        .with_notify_hub(Arc::clone(&hub));
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || router.run(rx));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let accept_tx = tx.clone();
+    std::thread::spawn(move || tcp_accept_loop(accept_tx, listener, views, hub));
+    (tx, addr)
+}
+
+/// The parity table: every kind of thing a client can send, as
+/// `(label, artifact text)` rows in script order. Mutating rows come
+/// before the standing-query rows, so no commit lands after the
+/// subscribe and nothing is pushed between replies.
+fn parity_script(snapshot: &net_model::Snapshot, trace: &Trace) -> Vec<(String, String)> {
+    use dna_io::SubscriptionSpec;
+    let query = |session: Option<&str>, kind: QueryKind| {
+        let label = format!("query {} (session {session:?})", kind.name());
+        let text = write_query(&Query {
+            session: session.map(str::to_string),
+            kind,
+        });
+        (label, text)
+    };
+    let pair = || ("edge0_0".to_string(), "edge1_1".to_string());
+    let (src, dst) = pair();
+    let flow = net_model::Flow::tcp_to(net_model::ip("10.0.0.1"), 80);
+    // A checkpoint artifact of a different session name, so resuming
+    // it opens a second session next to "main".
+    let mut donor = Session::open("par-ck", snapshot.clone(), SessionConfig::default())
+        .expect("donor session opens");
+    donor.ingest(&trace.epochs[0]).expect("donor ingests");
+    let unservable = [
+        ("report", dna_io::write_report(&Default::default())),
+        (
+            "response",
+            dna_io::write_response(&dna_io::Response::Error("x".into())),
+        ),
+        ("metrics", dna_io::write_metrics(&Default::default())),
+        ("spans", dna_io::write_spans(&Default::default())),
+        ("history", dna_io::write_history(&Default::default())),
+        ("health", dna_io::write_health(&Default::default())),
+        (
+            "notify",
+            dna_io::write_notify(&dna_io::Notify {
+                subscription: 1,
+                session: "main".into(),
+                events: Vec::new(),
+            }),
+        ),
+    ];
+    let mut rows = vec![
+        // Absent session: nothing is open yet.
+        query(None, QueryKind::Stats),
+        ("trace, no session open".into(), write_trace(trace)),
+        // Inbound snapshot and trace artifacts.
+        ("snapshot".into(), dna_io::write_snapshot(snapshot)),
+        ("trace".into(), write_trace(trace)),
+        // Every query kind.
+        query(
+            None,
+            QueryKind::Reach {
+                src: src.clone(),
+                flow,
+            },
+        ),
+        query(None, QueryKind::ReachPair { src, dst }),
+        query(Some("main"), QueryKind::Blast { last: 8 }),
+        query(None, QueryKind::Report { from: 0, to: 2 }),
+        query(None, QueryKind::Stats),
+        query(None, QueryKind::Sessions),
+        query(None, QueryKind::Checkpoint),
+        // Narrowed to the session so the scrape is stable while the
+        // row is in flight (answering only moves transport-scoped
+        // query-latency series, which the narrowing drops).
+        query(Some("main"), QueryKind::Metrics),
+        query(None, QueryKind::TraceSpans { last: Some(4) }),
+        query(None, QueryKind::Health),
+        query(None, QueryKind::History { last: Some(1) }),
+        // Unknown session name.
+        query(Some("ghost"), QueryKind::Stats),
+        query(Some("ghost"), QueryKind::Notifications { id: 1 }),
+        // Inbound checkpoint artifact.
+        (
+            "checkpoint artifact".into(),
+            dna_io::write_checkpoint(&donor.checkpoint_artifact()),
+        ),
+        query(Some("par-ck"), QueryKind::Stats),
+        ("garbage".into(), "not an artifact\nend\n".into()),
+    ];
+    rows.extend(
+        unservable
+            .into_iter()
+            .map(|(kind, text)| (format!("unservable {kind} artifact"), text)),
+    );
+    let (src, dst) = pair();
+    rows.extend([
+        query(
+            None,
+            QueryKind::Subscribe(SubscriptionSpec::ReachPair { src, dst }),
+        ),
+        query(None, QueryKind::Notifications { id: 1 }),
+        query(None, QueryKind::Unsubscribe { id: 1 }),
+        query(None, QueryKind::Unsubscribe { id: 1 }),
+    ]);
+    rows
+}
+
 #[test]
-fn health_is_byte_identical_on_all_four_transports() {
+fn every_reply_is_byte_identical_on_every_transport() {
     let ft = fat_tree(4, Routing::Ebgp);
     let mut gen = ScenarioGen::new(71);
     let epochs: Vec<_> = gen
@@ -81,7 +233,7 @@ fn health_is_byte_identical_on_all_four_transports() {
     let views = Arc::new(ViewRegistry::new());
     let mut router = Router::new(SessionConfig::default()).with_views(Arc::clone(&views));
     router
-        .preload(vec![("hp".into(), ft.snapshot)])
+        .preload(vec![("hp".into(), ft.snapshot.clone())])
         .expect("session opens");
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || router.run(rx));
@@ -95,7 +247,8 @@ fn health_is_byte_identical_on_all_four_transports() {
     dna_obs::history().record(dna_obs::uptime_ms(), &dna_obs::global().snapshot(None));
 
     // Live ingest over TCP.
-    let ack = query_tcp(&addr, &write_trace(&Trace { epochs })).expect("trace over tcp");
+    let trace = Trace { epochs };
+    let ack = query_tcp(&addr, &write_trace(&trace)).expect("trace over tcp");
     assert!(
         matches!(
             dna_io::parse_response(&ack).expect("ack parses"),
@@ -108,7 +261,7 @@ fn health_is_byte_identical_on_all_four_transports() {
     std::thread::sleep(std::time::Duration::from_millis(20));
     dna_obs::history().record(dna_obs::uptime_ms(), &dna_obs::global().snapshot(None));
 
-    // ---- health, all four transports, byte for byte. ----
+    // ---- health, every transport, byte for byte. ----
     let health_q = q(QueryKind::Health);
 
     // 1. TCP front door (answered on the connection thread).
@@ -138,26 +291,8 @@ fn health_is_byte_identical_on_all_four_transports() {
     .expect("pipe serve");
     let over_pipe = String::from_utf8(pipe_out).expect("utf-8");
 
-    // 4. The broker pump (the unix-socket transport's engine side).
-    let (btx, brx) = mpsc::channel();
-    let broker = std::thread::spawn(move || {
-        let mut mgr = SessionManager::new(Default::default());
-        run_broker(&mut mgr, brx)
-    });
-    let (reply_tx, reply_rx) = mpsc::channel();
-    btx.send(Request {
-        text: health_q.clone(),
-        session: None,
-        reply: reply_tx,
-    })
-    .expect("broker request");
-    let over_broker = reply_rx.recv().expect("broker reply");
-    drop(btx);
-    broker.join().expect("broker thread");
-
     assert_eq!(over_tcp, over_router, "tcp vs router health bytes drifted");
     assert_eq!(over_tcp, over_pipe, "tcp vs pipe health bytes drifted");
-    assert_eq!(over_tcp, over_broker, "tcp vs broker health bytes drifted");
 
     let healthy = parse_health(&over_tcp).expect("health parses");
     assert_eq!(healthy.server, HealthStatus::Ok);
@@ -241,4 +376,49 @@ fn health_is_byte_identical_on_all_four_transports() {
         report.samples.last(),
         "the last-n window must be the dump's suffix"
     );
+
+    // ---- transport parity for every kind, not just `health`. ----
+    // Three independent stacks fed the same script, so their sessions
+    // evolve identically: the inline manager behind the pipe loop, a
+    // bare router driven over its request channel (what the
+    // unix-socket and `--follow` pumps talk to), and a router behind
+    // one persistent TCP connection (one connection, so
+    // `tcp_connections` holds still while a row is in flight).
+    let mut pipe_mgr = SessionManager::new(SessionConfig::default());
+    let (channel_tx, channel_rx) = mpsc::channel();
+    std::thread::spawn(move || Router::new(SessionConfig::default()).run(channel_rx));
+    let (_tcp_tx, tcp_addr) = tcp_stack();
+    let tcp = TcpStream::connect(&tcp_addr).expect("connect");
+    let mut tcp_in = BufReader::new(&tcp);
+    let mut via_tcp = |text: &str| {
+        (&tcp).write_all(text.as_bytes()).expect("send over tcp");
+        read_artifact(&mut tcp_in)
+            .expect("well-framed reply")
+            .expect("one reply per artifact")
+    };
+    for (label, text) in parity_script(&ft.snapshot, &trace) {
+        let over_pipe = without_timings(via_pipe(&mut pipe_mgr, &text));
+        let over_channel = without_timings(via_channel(&channel_tx, &text));
+        let over_tcp = without_timings(via_tcp(&text));
+        assert!(!over_pipe.is_empty(), "{label}: no reply");
+        assert_eq!(over_pipe, over_channel, "{label}: pipe vs router channel");
+        assert_eq!(over_pipe, over_tcp, "{label}: pipe vs tcp");
+    }
+    // A truncated artifact can only end a stream: input stops mid
+    // artifact and the partial text is answered as a typed error.
+    let truncated = "dna-io v5 query\n  stats\n";
+    let over_pipe = via_pipe(&mut pipe_mgr, truncated);
+    assert!(
+        matches!(
+            dna_io::parse_response(&over_pipe),
+            Ok(dna_io::Response::Error(_))
+        ),
+        "truncated artifact must answer a typed error:\n{over_pipe}"
+    );
+    assert_eq!(over_pipe, via_channel(&channel_tx, truncated), "truncated");
+    (&tcp).write_all(truncated.as_bytes()).expect("send");
+    tcp.shutdown(std::net::Shutdown::Write)
+        .expect("close write half");
+    let over_tcp = read_artifact(&mut tcp_in).expect("framed").expect("reply");
+    assert_eq!(over_pipe, over_tcp, "truncated: pipe vs tcp");
 }

@@ -15,7 +15,10 @@
 //! * a subscribed connection's pushed notify stream (the `dna watch`
 //!   wire pattern) carries exactly the events a poll-after-every-epoch
 //!   client drains — changed commits push one artifact, unchanged
-//!   commits push zero bytes.
+//!   commits push zero bytes;
+//! * a pipelining client — two queries written back-to-back before
+//!   either reply is read — gets both replies, byte-identical to two
+//!   sequential round trips.
 
 use dna_io::{write_query, write_trace, Query, QueryKind, Response, Trace, TraceEpoch};
 use dna_serve::{
@@ -109,6 +112,52 @@ fn tcp_responses_match_the_pinned_corpus_smoke() {
     // All three queries were answered from published views — the trace
     // is the only artifact that reached the engine side.
     assert_eq!(views.served(), 3, "read path must serve the queries");
+}
+
+/// Pipelining: a client that writes two queries back-to-back, as two
+/// separate socket writes, before reading anything gets both replies
+/// in order — the same bytes two sequential round trips return. (The
+/// server sets `TCP_NODELAY` on accepted connections; without it the
+/// second reply waits ~40 ms on Nagle + the client's delayed ACK.)
+#[test]
+fn pipelined_queries_answer_like_sequential_round_trips() {
+    let snapshot = dna_io::parse_snapshot(include_str!("corpus/ft4_failures.snap.dna"))
+        .expect("corpus snapshot parses");
+    let (addr, _views, _tx) = serve_tcp(vec![("pipe".into(), snapshot)]);
+    let ack = query_tcp(
+        &addr.to_string(),
+        include_str!("corpus/ft4_failures.trace.dna"),
+    )
+    .expect("trace over tcp");
+    assert!(ack.contains("ok ingested"), "unexpected ingest ack:\n{ack}");
+    let first = q(
+        None,
+        QueryKind::ReachPair {
+            src: "edge0_0".into(),
+            dst: "edge1_1".into(),
+        },
+    );
+    let second = q(Some("pipe"), QueryKind::Blast { last: 8 });
+    let sequential = [
+        query_tcp(&addr.to_string(), &first).expect("first round trip"),
+        query_tcp(&addr.to_string(), &second).expect("second round trip"),
+    ];
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    (&stream).write_all(first.as_bytes()).expect("first write");
+    (&stream)
+        .write_all(second.as_bytes())
+        .expect("second write");
+    let mut reader = BufReader::new(&stream);
+    let pipelined = [(); 2].map(|()| {
+        read_artifact(&mut reader)
+            .expect("reply within the timeout")
+            .expect("one reply per query")
+    });
+    assert_eq!(pipelined, sequential);
 }
 
 /// A subscribed TCP connection (the `dna watch` wire pattern): the
