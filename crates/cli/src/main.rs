@@ -11,23 +11,24 @@
 //!   their canonical reports are byte-identical (the offline form of the
 //!   E8 equivalence experiment);
 //! * `dna serve`  — long-running service: keep live engines resident,
-//!   ingest artifacts from stdin (and answer unix-socket clients),
-//!   respond to queries against the evolving state;
+//!   ingest artifacts from stdin (and answer unix-socket and TCP
+//!   clients), respond to queries against the evolving state;
 //! * `dna query`  — compose a protocol query (stdout) or send it to a
 //!   serving socket and print the response;
-//! * `dna watch`  — subscribe a standing query over TCP and stream the
-//!   pushed `notify` artifacts live as commits change its answer.
+//! * `dna watch`  — subscribe a standing query on a serving socket and
+//!   stream the pushed `notify` artifacts live as commits change its
+//!   answer.
 //!
 //! Exit codes: 0 success, 1 usage/parse/analysis errors, 2 verification
 //! or validation failures (or an `error` response to `dna query`).
 
 use dna_core::{classify, render, summarize, BehaviorDiff, ReplayMode, ReplaySession};
 use dna_io::{
-    parse_snapshot, parse_trace, write_query, write_report, write_snapshot, write_trace, EpochDiff,
-    Query, QueryKind, Report, Response, SubscriptionSpec, Trace,
+    parse_query_args, parse_snapshot, parse_trace, write_query, write_report, write_snapshot,
+    write_trace, EpochDiff, Query, QueryKind, Report, Response, Trace,
 };
-use dna_serve::{serve_stream, SessionConfig, SessionManager};
-use net_model::{Flow, Snapshot};
+use dna_serve::{serve_stream, Endpoint, SessionConfig, SessionManager};
+use net_model::Snapshot;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use topo_gen::{fat_tree, wan, Routing, ScenarioGen, ScenarioKind, WanShape, ALL_SCENARIOS};
@@ -50,8 +51,8 @@ USAGE:
             [--checkpoint-dir <dir> [--checkpoint-every <n>] [--resume]]
   dna query [--session <name>] [--socket <path>] [--connect <addr>]
             [--prometheus] [--rates] <command>
-  dna watch --connect <addr> [--session <name>] [--count <n>]
-            <subscription>
+  dna watch [--socket <path> | --connect <addr>] [--session <name>]
+            [--count <n>] <subscription>
   dna top   [--socket <path> | --connect <addr>] [--watch <secs>]
   dna checkpoint inspect <ckpt-file>
   dna checkpoint write <snap-file> --out <ckpt-file> [--session <name>]
@@ -74,23 +75,25 @@ SERVE: each positional opens one named session (default name: the file
 stem), the first becoming the default target. The server then reads a
 stream of dna-io artifacts from stdin — snapshots (re)load the default
 session, traces ingest incrementally, queries are answered — emitting
-one response artifact each to stdout, until end of input. With
---socket, clients connect concurrently and the server keeps running
-after stdin ends. --follow tails a growing trace file (repeatable;
-name= targets a session, default the default session), ingesting each
-epoch as it completes and finishing when the trace's end sentinel is
-written. With --socket, --listen or --follow, sessions get one engine
-thread each (parallel bring-up, concurrent multi-session ingest).
---listen binds a TCP front door (e.g. 127.0.0.1:7700; port 0 picks a free port,
-announced on stderr): each connection is served by its own reader
-thread, and read-only queries (reach, reach-pair, blast, report,
-stats) are answered from the session's latest published read view —
-one atomic version check, no engine-thread round trip — while ingest
-and the remaining queries route to the engine. --shards fans engine
-bring-up out over N workers (identical results, see README). --retain
-bounds the per-session epoch history (default 64) and --retain-bytes
-adds a byte budget on its canonical serialized size; --verify attaches
-a from-scratch shadow that cross-checks every ingested epoch.
+one response artifact each to stdout, until end of input. --socket
+(a unix socket path) and --listen (a TCP address, e.g. 127.0.0.1:7700;
+port 0 picks a free port, announced on stderr) open front doors:
+clients connect concurrently, each served by its own thread, and the
+server keeps running after stdin ends. Behind a door, read-only
+queries (reach, reach-pair, blast, report, stats) are answered from
+the session's latest published read view — one atomic version check,
+no engine-thread round trip — while ingest and the remaining queries
+route to the engine; an inbound artifact over 64 MiB is refused and
+its connection closed. --follow tails a growing trace file
+(repeatable; name= targets a session, default the default session),
+ingesting each epoch as it completes and finishing when the trace's
+end sentinel is written. With --socket, --listen or --follow, sessions
+get one engine thread each (parallel bring-up, concurrent
+multi-session ingest). --shards fans engine bring-up out over N
+workers (identical results, see README). --retain bounds the
+per-session epoch history (default 64) and --retain-bytes adds a byte
+budget on its canonical serialized size; --verify attaches a
+from-scratch shadow that cross-checks every ingested epoch.
 
 DURABILITY: --checkpoint-dir makes every session durable — an atomic
 per-session checkpoint is written after every --checkpoint-every
@@ -134,7 +137,7 @@ subscription does zero work and pushes zero bytes) and records a
   invariant no-blackhole <src-device> <src-ip> <dst-ip> <proto> <sport> <dport>
 `subscribe` acks with the subscription id; `dna query notifications
 <id>` drains the accumulated events on any transport, and `dna watch
-<subscription> --connect <addr>` holds one TCP connection open and
+<subscription>` holds one connection (--socket or --connect) open and
 streams each notify as it is pushed (--count exits after n pushed
 artifacts). Pushed and polled streams carry byte-identical events. A
 slow watcher never blocks the engine: its queue is bounded, overflow
@@ -176,6 +179,7 @@ EXAMPLES:
   dna serve ft6.snap.dna --listen 127.0.0.1:7700 < /dev/null &
   dna query --connect 127.0.0.1:7700 reach-pair edge0_0 edge1_1
   dna watch reach-pair edge0_0 edge1_1 --connect 127.0.0.1:7700
+  dna watch blast edge0_0 --socket /tmp/dna.sock
 ";
 
 fn main() -> ExitCode {
@@ -852,12 +856,19 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
             Ok((session, path.to_string()))
         })
         .collect::<Result<_, String>>()?;
-    let socket = args.flag("socket");
-    let listen = args.flag("listen");
-    if socket.is_none() && listen.is_none() && follows.is_empty() {
+    let socket = args.flag("socket").map(|path| Endpoint::Unix(path.into()));
+    let listen = args.flag("listen").map(|addr| Endpoint::Tcp(addr.into()));
+    let doors: Vec<Endpoint> = socket.into_iter().chain(listen).collect();
+    if doors.is_empty() && follows.is_empty() {
         // Pure pipe mode: one client, one engine thread, no channels —
         // the deterministic path the pinned service smoke drives.
-        let mut mgr = open_preloaded(config, preload, resumes)?;
+        let mut mgr = SessionManager::new(config);
+        for (name, snapshot) in preload {
+            mgr.open(&name, snapshot)?;
+        }
+        for (ckpt, snapshot) in resumes {
+            mgr.resume_checkpoint(&ckpt, snapshot)?;
+        }
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         let summary = serve_stream(&mut mgr, None, &mut stdin.lock(), &mut stdout.lock())
@@ -865,21 +876,7 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         print_summary(&summary);
         return Ok(ExitCode::SUCCESS);
     }
-    serve_channels(
-        config,
-        preload,
-        resumes,
-        follows,
-        FrontDoors { socket, listen },
-    )
-}
-
-/// The client-facing listeners of a channel-mode server: a unix socket
-/// path and/or a TCP listen address (either may be absent — a
-/// `--follow`-only server has no front door at all).
-struct FrontDoors<'a> {
-    socket: Option<&'a str>,
-    listen: Option<&'a str>,
+    serve_channels(config, preload, resumes, follows, doors)
 }
 
 /// Every `<name>.ckpt.dna` checkpoint in a directory, parsed, in file
@@ -910,32 +907,6 @@ fn scan_checkpoints(
     Ok(out)
 }
 
-/// Opens every startup session into the inline (pipe-mode) manager —
-/// fresh snapshots and checkpoint resumes alike — announcing each load.
-fn open_preloaded(
-    config: SessionConfig,
-    preload: Vec<(String, Snapshot)>,
-    resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
-) -> Result<SessionManager, String> {
-    let mut mgr = SessionManager::new(config);
-    for (name, snapshot) in preload {
-        let devices = snapshot.device_count();
-        mgr.open(&name, snapshot)?;
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} loaded ({devices} devices)"
-        ));
-    }
-    for (ckpt, snapshot) in resumes {
-        let devices = snapshot.device_count();
-        let (name, epochs) = (ckpt.session.clone(), ckpt.epochs);
-        mgr.resume_checkpoint(&ckpt, snapshot)?;
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
-        ));
-    }
-    Ok(mgr)
-}
-
 fn print_summary(summary: &dna_serve::ServeSummary) {
     let failures = if summary.failures > 0 {
         format!(", {} session failure(s)", summary.failures)
@@ -948,94 +919,40 @@ fn print_summary(summary: &dna_serve::ServeSummary) {
     ));
 }
 
-/// Channel mode (socket and/or follow pumps): pumps feed raw artifact
-/// text to the engine side over channels. The engine side is a
-/// [`dna_serve::Router`] — one engine thread per session, so sessions
-/// load and ingest concurrently. Runs until every pump is done
-/// (forever, in socket mode).
-#[cfg(unix)]
+/// Channel mode (socket doors and/or file tails): connection and
+/// follow threads feed raw artifact text to the engine side over
+/// channels. The engine side is a [`dna_serve::Router`] — one engine
+/// thread per session, so sessions load and ingest concurrently. Runs
+/// until every feeder is done (forever, once a door is open).
 fn serve_channels(
     config: SessionConfig,
     preload: Vec<(String, Snapshot)>,
     resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
     follows: Vec<(Option<String>, String)>,
-    doors: FrontDoors<'_>,
+    doors: Vec<Endpoint>,
 ) -> Result<ExitCode, String> {
-    use std::sync::mpsc;
-    let FrontDoors { socket, listen } = doors;
-    // The view registry backing the TCP read path. Attached to the
-    // router only when a TCP front door is requested — without
-    // readers, publishing a view per epoch would be pure overhead.
-    let views = std::sync::Arc::new(dna_serve::ViewRegistry::new());
-    // The notify hub backing pushed standing-query deltas. Like the
-    // views, only attached when TCP clients can actually watch.
-    let hub = std::sync::Arc::new(dna_serve::NotifyHub::new());
-    // Engine bring-up happens BEFORE the socket exists or any pump
-    // starts: a bad snapshot must fail the process while it is still
-    // invisible to clients, not after they can connect.
+    let (requests, rx) = std::sync::mpsc::channel();
+    let edge = dna_serve::Edge::new(requests);
     let mut router = dna_serve::Router::new(config);
-    if listen.is_some() {
-        router = router
-            .with_views(std::sync::Arc::clone(&views))
-            .with_notify_hub(std::sync::Arc::clone(&hub));
+    // Sessions publish read views and push notifies only when a socket
+    // door exists to read and watch them — for a --follow-only server,
+    // a view per epoch would be pure overhead.
+    if !doors.is_empty() {
+        router = router.publishing(edge.views.clone(), edge.hub.clone());
     }
-    let loaded: Vec<(String, usize)> = preload
-        .iter()
-        .map(|(n, s)| (n.clone(), s.device_count()))
-        .collect();
-    let resumed: Vec<(String, u64, usize)> = resumes
-        .iter()
-        .map(|(c, s)| (c.session.clone(), c.epochs, s.device_count()))
-        .collect();
+    // Engine bring-up happens BEFORE any door opens or any feeder
+    // starts: a bad snapshot must fail the process while it is still
+    // invisible to clients, not after they can connect. Every session
+    // comes up concurrently — one engine thread each, max-of-bring-ups
+    // wall-clock.
     router.preload(preload)?;
-    // All checkpointed sessions come back concurrently — one
-    // engine thread each, max-of-resumes wall-clock.
     router.preload_checkpoints(resumes)?;
-    for (name, devices) in loaded {
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} loaded ({devices} devices)"
-        ));
-    }
-    for (name, epochs, devices) in resumed {
-        dna_obs::log::info(&format!(
-            "dna serve: session {name:?} resumed at epoch {epochs} ({devices} devices)"
-        ));
-    }
-    let listener = match socket {
-        None => None,
-        Some(path) => {
-            let sock = std::path::Path::new(path);
-            if sock.exists() {
-                // Only reclaim the path from a DEAD server: a connectable
-                // socket means another instance is live, and deleting its
-                // socket would silently divert that server's clients here.
-                if std::os::unix::net::UnixStream::connect(sock).is_ok() {
-                    return Err(format!("{path} is already served by a running instance"));
-                }
-                std::fs::remove_file(sock)
-                    .map_err(|e| format!("cannot replace stale socket {path}: {e}"))?;
-            }
-            Some(
-                std::os::unix::net::UnixListener::bind(sock)
-                    .map_err(|e| format!("cannot bind {path}: {e}"))?,
-            )
-        }
-    };
-    let (tx, rx) = mpsc::channel();
-    let stdin_tx = tx.clone();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let _ = dna_serve::pump_stream(&stdin_tx, &mut stdin.lock(), &mut stdout.lock());
-        // Dropping stdin's sender leaves the other pumps' alive: the
-        // server keeps serving them after stdin ends.
-    });
     for (session, path) in follows {
-        let follow_tx = tx.clone();
+        let requests = edge.requests.clone();
         std::thread::spawn(move || {
             let target = std::path::PathBuf::from(&path);
             match dna_serve::follow_trace(
-                &follow_tx,
+                &requests,
                 session.as_deref(),
                 &target,
                 std::time::Duration::from_millis(50),
@@ -1048,109 +965,41 @@ fn serve_channels(
             }
         });
     }
-    if let Some(listener) = listener {
-        let accept_tx = tx.clone();
-        std::thread::spawn(move || {
-            let _ = dna_serve::accept_loop(accept_tx, listener);
-        });
-        dna_obs::log::info(&format!(
-            "dna serve: listening on {}",
-            socket.unwrap_or_default()
-        ));
+    for door in doors {
+        let bound = door
+            .listen(edge.clone())
+            .map_err(|e| format!("cannot bind {door}: {e}"))?;
+        let line = format!("dna serve: listening on {bound}");
+        match bound {
+            // Announced even under --quiet: with port 0 this line is
+            // the only way a client (or a test harness) learns the port.
+            Endpoint::Tcp(_) => dna_obs::log::announce(&line),
+            Endpoint::Unix(_) => dna_obs::log::info(&line),
+        }
     }
-    if let Some(addr) = listen {
-        let listener = std::net::TcpListener::bind(addr)
-            .map_err(|e| format!("cannot bind tcp {addr}: {e}"))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| format!("tcp local address: {e}"))?;
-        // Announced even under --quiet: with port 0 this line is the
-        // only way a client (or a test harness) learns the port.
-        dna_obs::log::announce(&format!("dna serve: listening on tcp {local}"));
-        let accept_tx = tx.clone();
-        let views = std::sync::Arc::clone(&views);
-        let hub = std::sync::Arc::clone(&hub);
-        std::thread::spawn(move || {
-            let _ = dna_serve::tcp_accept_loop(accept_tx, listener, views, hub);
-        });
-    }
-    drop(tx);
+    // Stdin is one more client connection — the operator's own, so it
+    // is the one connection without an artifact size cap. When it ends
+    // its edge drops, leaving the other feeders' alive: the server
+    // keeps serving them.
+    std::thread::spawn(move || {
+        let (stdin, stdout) = (std::io::stdin().lock(), std::io::stdout());
+        let _ = dna_serve::serve_connection(&edge, "stdin", usize::MAX, stdin, stdout);
+    });
     print_summary(&router.run(rx));
     Ok(ExitCode::SUCCESS)
 }
 
-#[cfg(not(unix))]
-fn serve_channels(
-    _config: SessionConfig,
-    _preload: Vec<(String, Snapshot)>,
-    _resumes: Vec<(dna_io::Checkpoint, Snapshot)>,
-    _follows: Vec<(Option<String>, String)>,
-    _doors: FrontDoors<'_>,
-) -> Result<ExitCode, String> {
-    Err("--socket/--listen/--follow require a unix platform".into())
-}
-
 // ---- query ------------------------------------------------------------
 
-/// Parses the five positional flow tokens (`<src-ip> <dst-ip> <proto>
-/// <sport> <dport>`) shared by `reach`, `subscribe reach` and
-/// `subscribe invariant no-blackhole`.
-fn parse_flow(tokens: &[&str]) -> Result<Flow, String> {
-    let [sip, dip, proto, sport, dport] = tokens else {
-        return Err(format!(
-            "a flow takes 5 tokens (<src-ip> <dst-ip> <proto> <sport> <dport>), got {}",
-            tokens.len()
-        ));
-    };
-    Ok(Flow {
-        src: sip
-            .parse()
-            .map_err(|_| format!("bad source address {sip:?}"))?,
-        dst: dip
-            .parse()
-            .map_err(|_| format!("bad destination address {dip:?}"))?,
-        proto: proto
-            .parse()
-            .map_err(|_| format!("bad protocol {proto:?}"))?,
-        src_port: sport
-            .parse()
-            .map_err(|_| format!("bad source port {sport:?}"))?,
-        dst_port: dport
-            .parse()
-            .map_err(|_| format!("bad destination port {dport:?}"))?,
-    })
-}
-
-/// Parses the positional grammar shared by `dna query subscribe …` and
-/// `dna watch …` into a standing-query spec.
-fn parse_subscribe(tokens: &[&str]) -> Result<SubscriptionSpec, String> {
-    Ok(match tokens {
-        ["reach", src, flow @ ..] => SubscriptionSpec::Reach {
-            src: src.to_string(),
-            flow: parse_flow(flow)?,
-        },
-        ["reach-pair", src, dst] => SubscriptionSpec::ReachPair {
-            src: src.to_string(),
-            dst: dst.to_string(),
-        },
-        ["blast", device] => SubscriptionSpec::Blast {
-            device: device.to_string(),
-        },
-        ["invariant", "never-reach", src, dst] => SubscriptionSpec::NeverReach {
-            src: src.to_string(),
-            dst: dst.to_string(),
-        },
-        ["invariant", "no-blackhole", src, flow @ ..] => SubscriptionSpec::NoBlackhole {
-            src: src.to_string(),
-            flow: parse_flow(flow)?,
-        },
-        other => {
-            return Err(format!(
-                "bad subscription {:?} (see QUERY COMMANDS in `dna help`)",
-                other.join(" ")
-            ))
-        }
-    })
+/// The server a client verb talks to: `--socket <path>` or `--connect
+/// <addr>`; `None` when neither is given.
+fn target(args: &Args) -> Result<Option<Endpoint>, String> {
+    match (args.flag("socket"), args.flag("connect")) {
+        (Some(_), Some(_)) => Err("--socket and --connect are mutually exclusive".into()),
+        (Some(path), None) => Ok(Some(Endpoint::Unix(path.into()))),
+        (None, Some(addr)) => Ok(Some(Endpoint::Tcp(addr.into()))),
+        (None, None) => Ok(None),
+    }
 }
 
 fn cmd_query(rest: &[String]) -> Result<ExitCode, String> {
@@ -1159,51 +1008,8 @@ fn cmd_query(rest: &[String]) -> Result<ExitCode, String> {
         &["session", "socket", "connect"],
         &["prometheus", "rates"],
     )?;
-    let kind = match args.positionals.as_slice() {
-        ["reach", src, flow @ ..] => QueryKind::Reach {
-            src: src.to_string(),
-            flow: parse_flow(flow)?,
-        },
-        ["reach-pair", src, dst] => QueryKind::ReachPair {
-            src: src.to_string(),
-            dst: dst.to_string(),
-        },
-        ["blast", last] => QueryKind::Blast {
-            last: last.parse().map_err(|_| format!("bad window {last:?}"))?,
-        },
-        ["report", from, to] => QueryKind::Report {
-            from: from
-                .parse()
-                .map_err(|_| format!("bad range start {from:?}"))?,
-            to: to.parse().map_err(|_| format!("bad range end {to:?}"))?,
-        },
-        ["stats"] => QueryKind::Stats,
-        ["sessions"] => QueryKind::Sessions,
-        ["checkpoint"] => QueryKind::Checkpoint,
-        ["metrics"] => QueryKind::Metrics,
-        ["trace"] => QueryKind::TraceSpans { last: None },
-        ["trace", last] => QueryKind::TraceSpans {
-            last: Some(last.parse().map_err(|_| format!("bad window {last:?}"))?),
-        },
-        ["health"] => QueryKind::Health,
-        ["history"] => QueryKind::History { last: None },
-        ["history", last] => QueryKind::History {
-            last: Some(last.parse().map_err(|_| format!("bad window {last:?}"))?),
-        },
-        ["subscribe", spec @ ..] => QueryKind::Subscribe(parse_subscribe(spec)?),
-        ["unsubscribe", id] => QueryKind::Unsubscribe {
-            id: id
-                .parse()
-                .map_err(|_| format!("bad subscription id {id:?}"))?,
-        },
-        ["notifications", id] => QueryKind::Notifications {
-            id: id
-                .parse()
-                .map_err(|_| format!("bad subscription id {id:?}"))?,
-        },
-        [] => return Err("query needs a command (see `dna help`)".into()),
-        other => return Err(format!("bad query command {:?}", other.join(" "))),
-    };
+    let kind = parse_query_args(&args.positionals)
+        .map_err(|e| format!("bad query command: {e} (see QUERY COMMANDS in `dna help`)"))?;
     let prometheus = args.has("prometheus");
     if prometheus && !matches!(kind, QueryKind::Metrics) {
         return Err("--prometheus only applies to `dna query metrics`".into());
@@ -1218,15 +1024,14 @@ fn cmd_query(rest: &[String]) -> Result<ExitCode, String> {
         kind,
     };
     let text = write_query(&query);
-    match (args.flag("socket"), args.flag("connect")) {
-        (Some(_), Some(_)) => Err("--socket and --connect are mutually exclusive".into()),
-        (Some(path), None) => query_over_socket(path, &text, render),
-        (None, Some(addr)) => {
-            let response = dna_serve::query_tcp(addr, &text)
-                .map_err(|e| format!("cannot query tcp {addr}: {e}"))?;
-            print_response(addr, &response, render)
+    match target(&args)? {
+        Some(server) => {
+            let response = server
+                .query(&text)
+                .map_err(|e| format!("cannot query {server}: {e}"))?;
+            print_response(&server, &response, render)
         }
-        (None, None) => {
+        None => {
             if prometheus || rates {
                 return Err(
                     "--prometheus/--rates need a live server (--socket or --connect)".into(),
@@ -1240,54 +1045,53 @@ fn cmd_query(rest: &[String]) -> Result<ExitCode, String> {
 
 // ---- watch ------------------------------------------------------------
 
-/// `dna watch`: subscribe over TCP and stream the pushed `notify`
-/// artifacts to stdout as commits land — the live-tail counterpart of
-/// polling `dna query notifications <id>`. The subscribe ack goes to
-/// stderr so stdout carries exactly the pushed delta stream.
+/// `dna watch`: subscribe on a serving socket and stream the pushed
+/// `notify` artifacts to stdout as commits land — the live-tail
+/// counterpart of polling `dna query notifications <id>`. The subscribe
+/// ack goes to stderr so stdout carries exactly the pushed delta stream.
 fn cmd_watch(rest: &[String]) -> Result<ExitCode, String> {
     use std::io::Write;
-    let args = Args::parse(rest, &["session", "connect", "count"], &[])?;
-    let spec = parse_subscribe(&args.positionals)?;
-    let addr = args
-        .flag("connect")
-        .ok_or("watch needs --connect <addr> (a `dna serve --listen` front door)")?;
+    let args = Args::parse(rest, &["session", "socket", "connect", "count"], &[])?;
+    // A subscription is the `subscribe` query command minus its keyword.
+    let words: Vec<&str> = std::iter::once("subscribe")
+        .chain(args.positionals.iter().copied())
+        .collect();
+    let kind = parse_query_args(&words)
+        .map_err(|e| format!("bad subscription: {e} (see STANDING QUERIES in `dna help`)"))?;
+    let server = target(&args)?.ok_or("watch needs a live server (--socket or --connect)")?;
     let count: Option<u64> = match args.flag("count") {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("bad --count value {v:?}"))?),
     };
     let query = Query {
         session: args.flag("session").map(str::to_string),
-        kind: QueryKind::Subscribe(spec),
+        kind,
     };
-    let stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| format!("cannot connect tcp {addr}: {e}"))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| format!("cannot configure tcp {addr}: {e}"))?;
-    (&stream)
-        .write_all(write_query(&query).as_bytes())
-        .map_err(|e| format!("cannot send subscribe to {addr}: {e}"))?;
-    (&stream)
-        .flush()
-        .map_err(|e| format!("cannot send subscribe to {addr}: {e}"))?;
-    let mut reader = std::io::BufReader::new(&stream);
-    let next = |r: &mut std::io::BufReader<&std::net::TcpStream>| {
-        dna_serve::read_artifact(r).map_err(|e| format!("lost connection to {addr}: {e}"))
+    let mut client = server
+        .connect()
+        .map_err(|e| format!("cannot connect {server}: {e}"))?;
+    client
+        .send(&write_query(&query))
+        .map_err(|e| format!("cannot send subscribe to {server}: {e}"))?;
+    let mut next = || {
+        client
+            .recv()
+            .map_err(|e| format!("lost connection to {server}: {e}"))
     };
-    let ack = next(&mut reader)?.ok_or_else(|| format!("{addr} closed before acknowledging"))?;
+    let ack = next()?.ok_or_else(|| format!("{server} closed before acknowledging"))?;
     let Ok(n) = dna_io::parse_notify(&ack) else {
         // Anything else is the server's refusal (unknown session or
         // device, failed session, …): print it under the usual exit
         // code contract.
-        return print_response(addr, &ack, Render::default());
+        return print_response(&server, &ack, Render::default());
     };
     eprintln!(
-        "dna watch: subscription {} on session {:?} ({addr})",
+        "dna watch: subscription {} on session {:?} ({server})",
         n.subscription, n.session
     );
     let mut seen = 0u64;
     while count.is_none_or(|c| seen < c) {
-        let Some(text) = next(&mut reader)? else {
+        let Some(text) = next()? else {
             break; // server shut down
         };
         seen += 1;
@@ -1317,7 +1121,7 @@ struct Render {
 /// `history`, `health`) rather than a `response`; all are validated
 /// before printing, and `--prometheus` / `--rates` re-render
 /// client-side (the wire always carries the canonical artifact).
-fn print_response(origin: &str, response: &str, render: Render) -> Result<ExitCode, String> {
+fn print_response(origin: &Endpoint, response: &str, render: Render) -> Result<ExitCode, String> {
     match dna_io::sniff(response) {
         Ok((_, dna_io::Artifact::Metrics)) => {
             let report = dna_io::parse_metrics(response)
@@ -1486,18 +1290,6 @@ fn prometheus_text(report: &dna_io::MetricsReport) -> String {
     out
 }
 
-#[cfg(unix)]
-fn query_over_socket(path: &str, text: &str, render: Render) -> Result<ExitCode, String> {
-    let response = dna_serve::query_socket(std::path::Path::new(path), text)
-        .map_err(|e| format!("cannot query {path}: {e}"))?;
-    print_response(path, &response, render)
-}
-
-#[cfg(not(unix))]
-fn query_over_socket(_path: &str, _text: &str, _render: Render) -> Result<ExitCode, String> {
-    Err("--socket requires a unix platform".into())
-}
-
 // ---- top --------------------------------------------------------------
 
 /// `dna top`: a one-shot (or `--watch <secs>` refreshing) per-session
@@ -1519,18 +1311,11 @@ fn cmd_top(rest: &[String]) -> Result<ExitCode, String> {
         session: None,
         kind: QueryKind::History { last: Some(2) },
     });
-    let fetch = || -> Result<String, String> {
-        match (args.flag("socket"), args.flag("connect")) {
-            (Some(_), Some(_)) => Err("--socket and --connect are mutually exclusive".into()),
-            (Some(path), None) => dna_serve::query_socket(std::path::Path::new(path), &query)
-                .map_err(|e| format!("cannot query {path}: {e}")),
-            (None, Some(addr)) => dna_serve::query_tcp(addr, &query)
-                .map_err(|e| format!("cannot query tcp {addr}: {e}")),
-            (None, None) => Err("top needs a live server (--socket or --connect)".into()),
-        }
-    };
+    let server = target(&args)?.ok_or("top needs a live server (--socket or --connect)")?;
     loop {
-        let response = fetch()?;
+        let response = server
+            .query(&query)
+            .map_err(|e| format!("cannot query {server}: {e}"))?;
         let report = match dna_io::sniff(&response) {
             Ok((_, dna_io::Artifact::History)) => dna_io::parse_history(&response)
                 .map_err(|e| format!("malformed history from server: {e}"))?,

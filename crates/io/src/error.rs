@@ -21,7 +21,8 @@ pub enum IoError {
     },
     /// A body line failed to parse.
     Parse {
-        /// 1-based line number in the input.
+        /// 1-based line number in the input; 0 when the input had no
+        /// lines (a command line's words).
         line: usize,
         /// What went wrong.
         message: String,
@@ -54,6 +55,7 @@ impl fmt::Display for IoError {
             IoError::WrongArtifact { expected, found } => {
                 write!(f, "expected a {expected} artifact, found a {found}")
             }
+            IoError::Parse { line: 0, message } => write!(f, "{message}"),
             IoError::Parse { line, message } => write!(f, "line {line}: {message}"),
             IoError::Truncated { expected } => {
                 write!(f, "input truncated: expected {expected}")

@@ -18,6 +18,9 @@ pub(crate) enum Tok {
     Word(String),
     /// A quoted string, unescaped.
     Str(String),
+    /// A command-line word: the shell already did the quoting, so it
+    /// satisfies bare-word and quoted-string positions alike.
+    Arg(String),
 }
 
 /// Quotes and escapes a string for the wire.
@@ -129,7 +132,7 @@ impl Cursor {
     /// Next token as a bare word.
     pub(crate) fn word(&mut self, what: &str) -> Result<String, IoError> {
         match self.next_tok(what)? {
-            Tok::Word(w) => Ok(w),
+            Tok::Word(w) | Tok::Arg(w) => Ok(w),
             Tok::Str(s) => Err(perr(
                 self.line,
                 format!("expected {what}, found string {s:?}"),
@@ -153,7 +156,7 @@ impl Cursor {
     /// Next token as a quoted string.
     pub(crate) fn string(&mut self, what: &str) -> Result<String, IoError> {
         match self.next_tok(what)? {
-            Tok::Str(s) => Ok(s),
+            Tok::Str(s) | Tok::Arg(s) => Ok(s),
             Tok::Word(w) => Err(perr(
                 self.line,
                 format!("expected quoted {what}, found {w:?}"),
@@ -164,8 +167,8 @@ impl Cursor {
     /// `-` for `None`, a quoted string for `Some`.
     pub(crate) fn opt_string(&mut self, what: &str) -> Result<Option<String>, IoError> {
         match self.next_tok(what)? {
-            Tok::Word(w) if w == "-" => Ok(None),
-            Tok::Str(s) => Ok(Some(s)),
+            Tok::Word(w) | Tok::Arg(w) if w == "-" => Ok(None),
+            Tok::Str(s) | Tok::Arg(s) => Ok(Some(s)),
             Tok::Word(w) => Err(perr(
                 self.line,
                 format!("expected quoted {what} or '-', found {w:?}"),
@@ -213,7 +216,9 @@ impl Cursor {
     pub(crate) fn finish(mut self) -> Result<(), IoError> {
         match self.toks.next() {
             None => Ok(()),
-            Some(t) => Err(perr(self.line, format!("trailing token {t:?}"))),
+            Some(Tok::Word(t) | Tok::Str(t) | Tok::Arg(t)) => {
+                Err(perr(self.line, format!("trailing token {t:?}")))
+            }
         }
     }
 }

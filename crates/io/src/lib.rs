@@ -59,8 +59,8 @@ pub use obsfmt::{
     HistorySample, MetricsReport, SeriesRow, SessionHealth, SpanReport, SpanRow,
 };
 pub use proto::{
-    parse_query, parse_response, write_query, write_response, Query, QueryKind, Response,
-    ServiceStats, SessionInfo, SubscriptionSpec,
+    parse_query, parse_query_args, parse_response, write_query, write_response, Query, QueryKind,
+    Response, ServiceStats, SessionInfo, SubscriptionSpec,
 };
 pub use report::{parse_report, write_report, EpochDiff, Report};
 pub use snapshot::{parse_snapshot, write_snapshot};
@@ -95,7 +95,7 @@ pub enum Artifact {
     /// A health classification of the server and each session
     /// (`dna query health`).
     Health,
-    /// Standing-query deltas: pushed to subscribed TCP clients on each
+    /// Standing-query deltas: pushed to subscribed connections on each
     /// changed commit, and the reply to the `subscribe` / `unsubscribe` /
     /// `notifications` commands (query v5).
     Notify,

@@ -16,7 +16,7 @@
 
 use crate::codec::{parse_header, W};
 use crate::error::{perr, IoError};
-use crate::lex::{quote, Cursor};
+use crate::lex::{quote, Cursor, Tok};
 use crate::report::{write_epoch, EpochDiff, EpochsParser, IndexRule};
 use crate::Artifact;
 use data_plane::Outcome;
@@ -302,19 +302,16 @@ pub fn write_query(q: &Query) -> String {
     if let Some(s) = &q.session {
         w.line(1, &format!("session {}", quote(s)));
     }
+    // `<device> <flow>`: the tail `reach` shares with the flow-carrying
+    // subscription kinds (the write side of `parse_flow`).
+    let flow_from = |src: &str, f: &Flow| {
+        let (proto, sport, dport) = (f.proto, f.src_port, f.dst_port);
+        format!("{} {} {} {proto} {sport} {dport}", quote(src), f.src, f.dst)
+    };
+    let pair = |src: &str, dst: &str| format!("{} {}", quote(src), quote(dst));
     let line = match &q.kind {
-        QueryKind::Reach { src, flow } => format!(
-            "reach {} {} {} {} {} {}",
-            quote(src),
-            flow.src,
-            flow.dst,
-            flow.proto,
-            flow.src_port,
-            flow.dst_port
-        ),
-        QueryKind::ReachPair { src, dst } => {
-            format!("reach-pair {} {}", quote(src), quote(dst))
-        }
+        QueryKind::Reach { src, flow } => format!("reach {}", flow_from(src, flow)),
+        QueryKind::ReachPair { src, dst } => format!("reach-pair {}", pair(src, dst)),
         QueryKind::Blast { last } => format!("blast {last}"),
         QueryKind::Report { from, to } => format!("report {from} {to}"),
         QueryKind::Stats => "stats".into(),
@@ -327,35 +324,19 @@ pub fn write_query(q: &Query) -> String {
         QueryKind::History { last: None } => "history".into(),
         QueryKind::History { last: Some(n) } => format!("history {n}"),
         QueryKind::Subscribe(spec) => match spec {
-            SubscriptionSpec::Reach { src, flow } => format!(
-                "subscribe reach {} {} {} {} {} {}",
-                quote(src),
-                flow.src,
-                flow.dst,
-                flow.proto,
-                flow.src_port,
-                flow.dst_port
-            ),
+            SubscriptionSpec::Reach { src, flow } => {
+                format!("subscribe reach {}", flow_from(src, flow))
+            }
             SubscriptionSpec::ReachPair { src, dst } => {
-                format!("subscribe reach-pair {} {}", quote(src), quote(dst))
+                format!("subscribe reach-pair {}", pair(src, dst))
             }
             SubscriptionSpec::Blast { device } => format!("subscribe blast {}", quote(device)),
             SubscriptionSpec::NeverReach { src, dst } => {
-                format!(
-                    "subscribe invariant never-reach {} {}",
-                    quote(src),
-                    quote(dst)
-                )
+                format!("subscribe invariant never-reach {}", pair(src, dst))
             }
-            SubscriptionSpec::NoBlackhole { src, flow } => format!(
-                "subscribe invariant no-blackhole {} {} {} {} {} {}",
-                quote(src),
-                flow.src,
-                flow.dst,
-                flow.proto,
-                flow.src_port,
-                flow.dst_port
-            ),
+            SubscriptionSpec::NoBlackhole { src, flow } => {
+                format!("subscribe invariant no-blackhole {}", flow_from(src, flow))
+            }
         },
         QueryKind::Unsubscribe { id } => format!("unsubscribe {id}"),
         QueryKind::Notifications { id } => format!("notifications {id}"),
@@ -523,6 +504,20 @@ pub fn parse_query(text: &str) -> Result<Query, IoError> {
     Err(IoError::Truncated {
         expected: "end sentinel of the query artifact".into(),
     })
+}
+
+/// Parses a query command given as already-split words — a command
+/// line's argv, e.g. `["reach-pair", "edge0_0", "edge1_1"]`. This is
+/// the grammar of a query artifact's command line, not a second one:
+/// the words run through the same parser, each satisfying a bare-word
+/// or a quoted-string position alike.
+pub fn parse_query_args<S: AsRef<str>>(args: &[S]) -> Result<QueryKind, IoError> {
+    let words = args.iter().map(|a| Tok::Arg(a.as_ref().to_string()));
+    let mut c = Cursor::new(words.collect(), 0);
+    let cmd = c.word("a query command")?;
+    let kind = parse_query_kind(&cmd, &mut c)?;
+    c.finish()?;
+    Ok(kind)
 }
 
 fn parse_query_kind(cmd: &str, c: &mut Cursor) -> Result<QueryKind, IoError> {

@@ -7,15 +7,19 @@
 //!    including quoting-hostile session/device names, empty outcome
 //!    sets, and report payloads carrying arbitrary epoch diffs at
 //!    arbitrary (increasing) absolute indices.
-//! 2. **Totality on bad input** — truncations and random character
+//! 2. **One grammar for wire and argv** — the words of a query's wire
+//!    command line, handed to [`parse_query_args`] the way a shell
+//!    hands `dna query` its argv, parse to the same query: a grammar
+//!    extension cannot reach one front end and not the other.
+//! 3. **Totality on bad input** — truncations and random character
 //!    mutations produce typed [`IoError`]s, never panics.
 
 use dna_core::FlowDiff;
 use dna_io::{
-    parse_metrics, parse_notify, parse_query, parse_response, parse_spans, write_metrics,
-    write_notify, write_query, write_response, write_spans, EpochDiff, HistogramRow, IoError,
-    MetricsReport, Notify, NotifyEvent, Query, QueryKind, Response, SeriesRow, ServiceStats,
-    SessionInfo, SpanReport, SpanRow, SubscriptionSpec,
+    parse_metrics, parse_notify, parse_query, parse_query_args, parse_response, parse_spans,
+    write_metrics, write_notify, write_query, write_response, write_spans, EpochDiff, HistogramRow,
+    IoError, MetricsReport, Notify, NotifyEvent, Query, QueryKind, Response, SeriesRow,
+    ServiceStats, SessionInfo, SpanReport, SpanRow, SubscriptionSpec,
 };
 use net_model::{Flow, Ipv4Addr};
 use proptest::prelude::*;
@@ -425,8 +429,60 @@ fn notify() -> impl Strategy<Value = Notify> {
         })
 }
 
+/// Splits a wire line into the words a shell would deliver as argv:
+/// whitespace-separated, quoted tokens unescaped. Deliberately not the
+/// library's lexer — an independent reading of FORMAT.md's quoting.
+fn argv_words(line: &str) -> Vec<String> {
+    let mut words = Vec::new();
+    let mut chars = line.chars().peekable();
+    while let Some(&c) = chars.peek() {
+        if c.is_whitespace() {
+            chars.next();
+        } else if c == '"' {
+            chars.next();
+            let mut word = String::new();
+            loop {
+                match chars.next().expect("terminated string") {
+                    '"' => break,
+                    '\\' => match chars.next().expect("escape") {
+                        'n' => word.push('\n'),
+                        'r' => word.push('\r'),
+                        't' => word.push('\t'),
+                        'u' => {
+                            assert_eq!(chars.next(), Some('{'));
+                            let hex: String = chars.by_ref().take_while(|c| *c != '}').collect();
+                            let code = u32::from_str_radix(&hex, 16).expect("hex escape");
+                            word.push(char::from_u32(code).expect("scalar value"));
+                        }
+                        literal => word.push(literal),
+                    },
+                    c => word.push(c),
+                }
+            }
+            words.push(word);
+        } else {
+            let mut word = String::new();
+            while let Some(c) = chars.next_if(|c| !c.is_whitespace()) {
+                word.push(c);
+            }
+            words.push(word);
+        }
+    }
+    words
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_and_seed(96, 0xD9A_1003))]
+
+    #[test]
+    fn argv_grammar_is_the_wire_grammar(q in query()) {
+        let text = write_query(&q);
+        // The command is the line before the `end` sentinel (quoting
+        // keeps every name on one line).
+        let command = text.lines().rev().nth(1).expect("a command line");
+        let kind = parse_query_args(&argv_words(command)).expect("argv words parse");
+        prop_assert_eq!(kind, q.kind);
+    }
 
     #[test]
     fn queries_round_trip(q in query()) {

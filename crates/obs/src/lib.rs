@@ -1,7 +1,7 @@
 //! # dna-obs — the telemetry substrate of the reproduction
 //!
 //! Every long-running plane of the system (router ingest, session
-//! engine threads, view publish/withdraw, the TCP front door,
+//! engine threads, view publish/withdraw, the socket front doors,
 //! checkpoint writes, the standing-query subscription plane) records
 //! into one lock-cheap [`Registry`] of atomic counters, gauges and
 //! fixed-bucket latency histograms, and every applied epoch leaves a
@@ -39,10 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod env;
 pub mod log;
 mod span;
 pub mod timeseries;
 
+pub use env::{env, Env};
 pub use span::{EpochSpan, QuerySpan, QuerySpanRecorder, SpanRecorder, DEFAULT_SPAN_CAPACITY};
 pub use timeseries::{rates, RateRow, Sample, TimeSeries, DEFAULT_HISTORY_CAPACITY};
 
@@ -535,19 +537,12 @@ pub fn uptime_ms() -> u64 {
         .min(u64::MAX as u128) as u64
 }
 
-/// Whether the `DNA_OBS_DISABLED` kill switch is set (checked once).
-pub fn obs_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED
-        .get_or_init(|| std::env::var("DNA_OBS_DISABLED").is_ok_and(|v| !v.is_empty() && v != "0"))
-}
-
 /// The process-global registry every subsystem records into. No-op
 /// when `DNA_OBS_DISABLED` is set in the environment.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        if obs_disabled() {
+        if env().obs_disabled {
             Registry::disabled()
         } else {
             Registry::new()
@@ -561,15 +556,13 @@ pub fn global() -> &'static Registry {
 pub fn spans() -> &'static SpanRecorder {
     static GLOBAL: OnceLock<SpanRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let rec = if obs_disabled() {
+        let rec = if env().obs_disabled {
             SpanRecorder::disabled()
         } else {
             SpanRecorder::new(DEFAULT_SPAN_CAPACITY)
         };
-        if let Ok(ms) = std::env::var("DNA_OBS_SLOW_EPOCH_MS") {
-            if let Ok(ms) = ms.parse::<u64>() {
-                rec.set_slow_threshold_ns(ms.saturating_mul(1_000_000));
-            }
+        if let Some(ms) = env().slow_epoch_ms {
+            rec.set_slow_threshold_ns(ms.saturating_mul(1_000_000));
         }
         rec
     })
@@ -581,15 +574,13 @@ pub fn spans() -> &'static SpanRecorder {
 pub fn query_spans() -> &'static QuerySpanRecorder {
     static GLOBAL: OnceLock<QuerySpanRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let rec = if obs_disabled() {
+        let rec = if env().obs_disabled {
             QuerySpanRecorder::disabled()
         } else {
             QuerySpanRecorder::new(DEFAULT_SPAN_CAPACITY)
         };
-        if let Ok(us) = std::env::var("DNA_OBS_SLOW_QUERY_US") {
-            if let Ok(us) = us.parse::<u64>() {
-                rec.set_slow_threshold_ns(us.saturating_mul(1_000));
-            }
+        if let Some(us) = env().slow_query_us {
+            rec.set_slow_threshold_ns(us.saturating_mul(1_000));
         }
         rec
     })
@@ -601,7 +592,7 @@ pub fn query_spans() -> &'static QuerySpanRecorder {
 pub fn history() -> &'static TimeSeries {
     static GLOBAL: OnceLock<TimeSeries> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        if obs_disabled() {
+        if env().obs_disabled {
             TimeSeries::disabled()
         } else {
             TimeSeries::new(DEFAULT_HISTORY_CAPACITY)

@@ -153,8 +153,10 @@ impl SpanRecorder {
 /// [`EpochSpan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuerySpan {
-    /// Answer path: `"tcp"` (published-view fast path), `"broker"`
-    /// (engine thread) or `"pipe"` (single-stream loop).
+    /// Answer path: `"tcp"` / `"unix"` / `"stdin"` (answered on that
+    /// kind of connection — the published-view fast path and
+    /// telemetry), `"broker"` (engine thread) or `"pipe"`
+    /// (single-stream loop).
     pub transport: &'static str,
     /// Target session, when the query named (or resolved to) one.
     pub session: Option<String>,

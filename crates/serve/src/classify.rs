@@ -1,8 +1,8 @@
 //! The one classifier: the only place an inbound artifact is sniffed
 //! and a query parsed.
 //!
-//! Every transport — the pipe loop, the router (behind the unix-socket
-//! and `--follow` pumps) and the TCP connection threads — calls
+//! Every transport — the pipe loop, the router (behind `--follow`
+//! tails and forwarded requests) and the connection threads — calls
 //! [`classify`] on the raw artifact text and acts on the [`Action`] it
 //! returns: a telemetry reply already rendered from [`dna_obs`], a
 //! `sessions` listing, work for one named session's engine, or a
@@ -28,7 +28,7 @@ pub(crate) enum Work {
     IngestText(String),
     /// Answer one query. A read-only kind (reach, reach-pair, blast,
     /// report, stats) may instead be answered from the session's
-    /// published [`crate::QueryView`] — the TCP read path.
+    /// published [`crate::QueryView`] — the connections' read path.
     Query(Box<QueryKind>),
 }
 

@@ -43,11 +43,11 @@ impl Reply {
 pub(crate) struct SessionCell {
     pub(crate) name: String,
     pub(crate) config: SessionConfig,
-    /// Where the session publishes read views, when a TCP front door
-    /// can read them.
+    /// Where the session publishes read views, when a socket door
+    /// exists to read them.
     view: Option<Arc<ViewSlot>>,
-    /// Where the session pushes standing-query deltas, when TCP
-    /// clients can watch.
+    /// Where the session pushes standing-query deltas, when a socket
+    /// door exists to watch them.
     hub: Option<Arc<NotifyHub>>,
     /// `None` until a load succeeds (and again after the router's
     /// panic fence drops a wrecked session).
@@ -89,8 +89,8 @@ impl SessionCell {
     }
 
     /// (Re)opens the session over a snapshot — fresh, or resuming a
-    /// checkpoint — and wires its view slot and notify hub. A failed
-    /// bring-up keeps the previous session.
+    /// checkpoint — wires its view slot and notify hub, and logs the
+    /// load. A failed bring-up keeps the previous session.
     fn bring_up(&mut self, resume: Option<&Checkpoint>, snapshot: Snapshot) -> Response {
         let devices = snapshot.device_count() as u64;
         let links = snapshot.links.len() as u64;
@@ -107,6 +107,12 @@ impl SessionCell {
                     s.set_notify_hub(Arc::clone(hub));
                 }
                 let session = s.name().to_string();
+                let how = resume.map_or("loaded".to_string(), |ckpt| {
+                    format!("resumed at epoch {}", ckpt.epochs)
+                });
+                dna_obs::log::info(&format!(
+                    "dna serve: session {session:?} {how} ({devices} devices)"
+                ));
                 self.session = Some(s);
                 Response::Loaded {
                     session,
@@ -178,7 +184,7 @@ fn unloaded(name: &str) -> Response {
 pub(crate) fn parse_trace_timed(text: &str) -> (Result<dna_io::Trace, String>, u64) {
     let start = std::time::Instant::now();
     let trace = parse_trace(text).map_err(|e| e.to_string());
-    if let (Ok(trace), Some(label)) = (&trace, crate::env::fault_label()) {
+    if let (Ok(trace), Some(label)) = (&trace, fault_label()) {
         if trace
             .epochs
             .iter()
@@ -189,6 +195,17 @@ pub(crate) fn parse_trace_timed(text: &str) -> (Result<dna_io::Trace, String>, u
     }
     let parse_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     (trace, parse_ns)
+}
+
+/// The fault-injection label (`DNA_SERVE_FAULT_LABEL`, see
+/// [`dna_obs::Env`]). This crate's unit tests get a fixed label instead
+/// — the environment is process-global, and a latch cannot be re-armed
+/// per test.
+pub(crate) fn fault_label() -> Option<&'static str> {
+    if cfg!(test) {
+        return Some("deliberately poisoned (test hook)");
+    }
+    dna_obs::env().fault_label.as_deref()
 }
 
 /// The inline executor: owner of the server's named sessions when they

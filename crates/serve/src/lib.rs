@@ -21,7 +21,7 @@
 //!   [`SessionManager`] (pipe mode, the concurrency tests' oracle);
 //! * [`server`] — artifact framing, the inline serve loop over any
 //!   `BufRead`/`Write` pair (stdio pipes), the engine-channel request
-//!   type, a unix-socket front-end, file-tail ingest ([`follow_trace`]);
+//!   type, file-tail ingest ([`follow_trace`]);
 //! * [`router`] — the threaded executor: one panic-fenced engine thread
 //!   *per session* behind the request channel — parallel bring-up and
 //!   concurrent multi-session ingest with interleaved queries (each
@@ -34,12 +34,14 @@
 //! * [`subs`] — standing queries: per-session registries of
 //!   materialized subscriptions re-evaluated from each commit's diff,
 //!   plus the [`NotifyHub`] that fans pushed `notify` artifacts out to
-//!   TCP watchers through bounded, drop-oldest queues (the engine
+//!   watching connections through bounded, drop-oldest queues (the engine
 //!   never blocks on a slow consumer);
-//! * [`net`] — the TCP front door: an accept loop whose per-connection
-//!   threads answer read-only queries straight from published views,
-//!   forward everything else to the engine side, and stream pushed
-//!   notifies to subscribed clients (`dna watch`);
+//! * [`net`] — the client edge: one accept loop and one connection
+//!   loop for stdin, unix-socket and TCP clients alike (read-only
+//!   queries answered straight from published views, everything else
+//!   forwarded to the engine side, pushed notifies streamed to
+//!   subscribers, inbound artifacts capped), and the one client
+//!   ([`Endpoint`]) behind `dna query` / `dna watch` / `dna top`;
 //! * [`obs`] — the telemetry query surface: `metrics` / `trace` /
 //!   `health` / `history` queries answered from the process-global
 //!   [`dna_obs`] registry and span ring, byte-identically on every
@@ -54,7 +56,6 @@
 
 mod classify;
 pub mod engine;
-mod env;
 pub mod net;
 pub mod obs;
 mod read;
@@ -78,13 +79,10 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 pub use engine::SessionManager;
-pub use net::{query_tcp, tcp_accept_loop};
+pub use net::{serve_connection, Client, Edge, Endpoint, MAX_ARTIFACT_BYTES};
 pub use router::Router;
-#[cfg(unix)]
-pub use server::{accept_loop, query_socket};
 pub use server::{
-    follow_trace, handle_artifact, pump_stream, pump_stream_as, read_artifact, serve_stream,
-    Request, ServeSummary,
+    follow_trace, handle_artifact, read_artifact, serve_stream, Request, ServeSummary,
 };
 pub use session::{
     checkpoint_file_name, coalesced_label, resolve_checkpoint_snapshot, Session, SessionConfig,

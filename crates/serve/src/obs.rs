@@ -19,7 +19,7 @@ use dna_io::{
     HistogramRow, HistoryReport, HistorySample, MetricsReport, Query, QueryKind, SeriesRow,
     SessionHealth, SpanReport, SpanRow,
 };
-use dna_obs::{EpochSpan, MetricsSnapshot, Sample, BUCKET_BOUNDS_US};
+use dna_obs::{Env, EpochSpan, MetricsSnapshot, Sample, BUCKET_BOUNDS_US};
 
 /// Serializes the process-global registry, span ring, history ring or
 /// health classification as the reply to an already-parsed telemetry
@@ -44,7 +44,7 @@ pub fn obs_reply_for(q: &Query) -> Option<String> {
         // the same picture.
         QueryKind::Health => {
             let snap = dna_obs::global().snapshot(None);
-            let report = health_report(&snap, dna_obs::uptime_ms(), crate::env::thresholds());
+            let report = health_report(&snap, dna_obs::uptime_ms(), dna_obs::env());
             Some(write_health(&report))
         }
         _ => None,
@@ -53,10 +53,10 @@ pub fn obs_reply_for(q: &Query) -> Option<String> {
 
 /// Records one answered query into the query plane: a
 /// `query_latency_us` observation labeled with the answer path
-/// (`tcp`/`broker`/`pipe` in the scope slot) plus a [`dna_obs::QuerySpan`]
-/// in the slow-query ring. Takes the classifier's query label —
-/// non-queries carry none and no-op, so transports can call it
-/// unconditionally after answering.
+/// (`tcp`/`unix`/`stdin`/`broker`/`pipe` in the scope slot) plus a
+/// [`dna_obs::QuerySpan`] in the slow-query ring. Takes the classifier's
+/// query label — non-queries carry none and no-op, so transports can
+/// call it unconditionally after answering.
 pub(crate) fn record_query_span(
     transport: &'static str,
     query: Option<(Option<String>, &'static str)>,
@@ -134,54 +134,10 @@ pub fn history_report(samples: &[Sample]) -> HistoryReport {
     }
 }
 
-/// The health-classification knobs, one env var each so operators can
-/// tune alarms without redeploying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Thresholds {
-    /// A session whose engine heartbeat is older than this while work
-    /// is queued for it is degraded (`DNA_OBS_STALE_MS`, default 5000).
-    pub stale_ms: u64,
-    /// Ingest-queue depth above which a session is degraded
-    /// (`DNA_OBS_QUEUE_DEPTH_WARN`, default 64).
-    pub queue_depth_warn: u64,
-    /// Enqueued-but-unapplied epoch count above which a session is
-    /// degraded (`DNA_OBS_EPOCHS_BEHIND_WARN`, default 256).
-    pub epochs_behind_warn: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            stale_ms: 5_000,
-            queue_depth_warn: 64,
-            epochs_behind_warn: 256,
-        }
-    }
-}
-
-impl Thresholds {
-    /// The defaults overridden by any parseable `DNA_OBS_*` env vars
-    /// (unset or malformed values keep the default). The server reads
-    /// them once, on the first `health` query.
-    pub fn from_env() -> Self {
-        let var = |name: &str, default: u64| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        };
-        let d = Thresholds::default();
-        Thresholds {
-            stale_ms: var("DNA_OBS_STALE_MS", d.stale_ms),
-            queue_depth_warn: var("DNA_OBS_QUEUE_DEPTH_WARN", d.queue_depth_warn),
-            epochs_behind_warn: var("DNA_OBS_EPOCHS_BEHIND_WARN", d.epochs_behind_warn),
-        }
-    }
-}
-
 /// Classifies the server and every session from one registry scrape —
-/// a pure function of `(snapshot, now, thresholds)`, so the answer is
-/// the same on every transport and trivially testable.
+/// a pure function of `(snapshot, now, thresholds)`, the thresholds
+/// being the three `health` fields of [`Env`], so the answer is the
+/// same on every transport and trivially testable.
 ///
 /// A session exists for health purposes iff its `engine_heartbeat_ms`
 /// gauge is registered (accounting series are torn down with the
@@ -189,19 +145,19 @@ impl Thresholds {
 /// precedence order:
 ///
 /// * `session_failed` set → **failed**, reason `panic`;
-/// * heartbeat older than [`Thresholds::stale_ms`] *while the ingest
+/// * heartbeat older than [`Env::stale_ms`] *while the ingest
 ///   queue is non-empty* → **degraded**, reason `stale-heartbeat` (an
 ///   idle engine has no reason to beat, so an old heartbeat alone is
 ///   not a symptom);
-/// * queue depth over [`Thresholds::queue_depth_warn`] → **degraded**,
+/// * queue depth over [`Env::queue_depth_warn`] → **degraded**,
 ///   reason `queue-depth`;
-/// * `epochs_behind` over [`Thresholds::epochs_behind_warn`] →
+/// * `epochs_behind` over [`Env::epochs_behind_warn`] →
 ///   **degraded**, reason `epochs-behind`.
 ///
 /// The server is degraded iff some session is degraded. A **failed**
 /// session does *not* degrade the server: the panic fence's whole job
 /// is containment, and health reports that containment worked.
-pub fn health_report(snap: &MetricsSnapshot, now_ms: u64, t: &Thresholds) -> HealthReport {
+pub fn health_report(snap: &MetricsSnapshot, now_ms: u64, t: &Env) -> HealthReport {
     let gauge = |name: &str, session: &str| {
         snap.gauges
             .iter()
@@ -336,7 +292,7 @@ mod tests {
     /// idle-heartbeat exemption.
     #[test]
     fn health_classification_rules() {
-        let t = Thresholds::default();
+        let t = Env::default();
         let r = Registry::new();
         let at = |r: &Registry, now: u64| health_report(&r.snapshot(None), now, &t);
 
@@ -398,11 +354,7 @@ mod tests {
         let a = dna_obs::SessionAccounting::register(&r, "a");
         b.failed.set(1);
         a.beat();
-        let report = health_report(
-            &r.snapshot(None),
-            dna_obs::uptime_ms(),
-            &Thresholds::default(),
-        );
+        let report = health_report(&r.snapshot(None), dna_obs::uptime_ms(), &Env::default());
         assert_eq!(
             report
                 .sessions

@@ -438,14 +438,12 @@ pub struct Router {
     sessions: BTreeMap<String, SessionThread>,
     default: Option<String>,
     summary: ServeSummary,
-    /// When attached (the TCP front door), every session thread gets a
-    /// [`crate::ViewSlot`] from this registry and publishes a read view
-    /// after each applied epoch; reader threads resolve slots through
-    /// the same registry.
-    views: Option<Arc<ViewRegistry>>,
-    /// When attached (the TCP front door), every session thread pushes
-    /// notify artifacts through this hub to watching connections.
-    hub: Option<Arc<NotifyHub>>,
+    /// When attached (a socket door exists), every session thread gets
+    /// a [`crate::ViewSlot`] from the registry and publishes a read
+    /// view after each applied epoch — reader threads resolve slots
+    /// through the same registry — and pushes notify artifacts through
+    /// the hub to watching connections.
+    published: Option<(Arc<ViewRegistry>, Arc<NotifyHub>)>,
 }
 
 impl Router {
@@ -456,22 +454,16 @@ impl Router {
             sessions: BTreeMap::new(),
             default: None,
             summary: ServeSummary::default(),
-            views: None,
-            hub: None,
+            published: None,
         }
     }
 
-    /// Attaches the view registry shared with reader threads; sessions
-    /// spawned from here on publish read views into it.
-    pub fn with_views(mut self, views: Arc<ViewRegistry>) -> Self {
-        self.views = Some(views);
-        self
-    }
-
-    /// Attaches the notify hub shared with TCP connection threads;
-    /// sessions spawned from here on push standing-query deltas into it.
-    pub fn with_notify_hub(mut self, hub: Arc<NotifyHub>) -> Self {
-        self.hub = Some(hub);
+    /// Attaches the view registry and notify hub the server's
+    /// connections hold; sessions spawned from here on publish read
+    /// views into the one and push standing-query deltas through the
+    /// other.
+    pub fn publishing(mut self, views: Arc<ViewRegistry>, hub: Arc<NotifyHub>) -> Self {
+        self.published = Some((views, hub));
         self
     }
 
@@ -506,7 +498,7 @@ impl Router {
     /// registry so readers resolve unaddressed queries the same way
     /// the router does.
     fn set_default(&mut self, name: Option<String>) {
-        if let Some(views) = &self.views {
+        if let Some((views, _)) = &self.published {
             views.set_default(name.as_deref());
         }
         self.default = name;
@@ -521,11 +513,13 @@ impl Router {
     /// (and stays out of the `sessions` listing) until a later load
     /// succeeds.
     fn route(&mut self, name: String, work: Work, reply: mpsc::Sender<String>) {
-        let (config, hub) = (&self.config, &self.hub);
-        let views = &self.views;
+        let (config, published) = (&self.config, &self.published);
         let thread = self.sessions.entry(name.clone()).or_insert_with(|| {
-            let view = views.as_ref().map(|v| v.slot(&name));
-            SessionThread::spawn(name.clone(), config.clone(), view, hub.clone())
+            let (view, hub) = published
+                .as_ref()
+                .map(|(views, hub)| (views.slot(&name), Arc::clone(hub)))
+                .unzip();
+            SessionThread::spawn(name.clone(), config.clone(), view, hub)
         });
         if let Err(mpsc::SendError(cmd)) = thread.send(work, reply) {
             let gone = Response::Error(format!("session {name:?}: engine thread is gone"));
@@ -629,7 +623,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{pump_stream, read_artifact};
+    use crate::server::read_artifact;
     use dna_io::{parse_response, write_query, write_snapshot, write_trace, Query, QueryKind};
     use std::io::Cursor;
     use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
@@ -638,12 +632,20 @@ mod tests {
         fat_tree(4, Routing::Ebgp).snapshot
     }
 
+    /// One client connection's worth of artifacts through the one
+    /// connection loop, writing the replies to `out`.
+    fn over_connection(tx: &mpsc::Sender<Request>, artifacts: String, out: &mut Vec<u8>) {
+        let edge = crate::net::Edge::new(tx.clone());
+        crate::net::serve_connection(&edge, "test", usize::MAX, Cursor::new(artifacts), out)
+            .expect("connection served");
+    }
+
     /// A trace whose one (empty) epoch carries the unit-test fault
-    /// label: ingesting it panics the engine thread (see `crate::env`).
+    /// label: ingesting it panics the engine thread (see `crate::engine::fault_label`).
     fn poison_trace() -> String {
         write_trace(&dna_io::Trace {
             epochs: vec![dna_io::TraceEpoch {
-                label: crate::env::fault_label().map(str::to_string),
+                label: crate::engine::fault_label().map(str::to_string),
                 changes: Default::default(),
             }],
         })
@@ -677,7 +679,7 @@ mod tests {
             }),
         );
         let mut out = Vec::new();
-        pump_stream(&tx, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
+        over_connection(&tx, stream, &mut out);
         drop(tx);
         let summary = handle.join().unwrap();
         assert_eq!(summary.artifacts, 3 + 2); // 2 loads + 3 queries
@@ -723,7 +725,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || router.run(rx));
         let mut out = Vec::new();
-        pump_stream(&tx, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
+        over_connection(&tx, stream, &mut out);
         drop(tx);
         let summary = handle.join().unwrap();
         assert_eq!(summary.artifacts, 3);
@@ -813,8 +815,10 @@ mod tests {
             }),
         );
         let mut out = Vec::new();
-        pump_stream(&tx, &mut Cursor::new(stream.into_bytes()), &mut out).unwrap();
-        // A fresh snapshot load lifts the fence and revives the name.
+        over_connection(&tx, stream, &mut out);
+        // A fresh snapshot load lifts the fence and revives the name
+        // (an unaddressed snapshot targets the default session — the
+        // first preloaded, "fence-a").
         let mut out2 = Vec::new();
         let stream2 = format!(
             "{}{}{}",
@@ -828,13 +832,7 @@ mod tests {
                 kind: QueryKind::Health,
             }),
         );
-        crate::server::pump_stream_as(
-            &tx,
-            Some("fence-a"),
-            &mut Cursor::new(stream2.into_bytes()),
-            &mut out2,
-        )
-        .unwrap();
+        over_connection(&tx, stream2, &mut out2);
         drop(tx);
         let summary = handle.join().unwrap();
         assert_eq!(summary.failures, 1, "exactly one fenced panic");
@@ -1013,7 +1011,7 @@ mod tests {
         let failure = |name: &str| {
             Response::Error(format!(
                 "session {name:?} failed: fault injected: epoch label {:?} (DNA_SERVE_FAULT_LABEL)",
-                crate::env::fault_label().unwrap()
+                crate::engine::fault_label().unwrap()
             ))
         };
 

@@ -18,10 +18,10 @@
 //! Threading: the dataflow engine is deliberately thread-local (`Rc`
 //! internals), so a [`SessionManager`] never crosses threads. The
 //! single-stream loop ([`serve_stream`]) runs wherever the manager
-//! lives; multi-client service (stdin tail, `--follow`, unix-socket and
-//! TCP clients) runs behind the [`crate::Router`]: pump threads own the
-//! sockets and exchange raw artifact text — plain `Send` strings — with
-//! the engine side over channels ([`pump_stream`] / [`accept_loop`]).
+//! lives; multi-client service runs behind the [`crate::Router`]:
+//! connection threads ([`crate::net`]) and file tails
+//! ([`follow_trace`]) exchange raw artifact text — plain `Send` strings
+//! — with the engine side over the [`Request`] channel.
 
 use crate::classify::{classify, Classified};
 use crate::engine::{Reply, SessionManager};
@@ -78,19 +78,47 @@ impl ServeSummary {
 /// ending mid-artifact returns the partial text — parsing then reports
 /// the truncation as a typed error.
 pub fn read_artifact(input: &mut impl BufRead) -> io::Result<Option<String>> {
+    Ok(match read_frame(input, usize::MAX)? {
+        Frame::Artifact(text) => Some(text),
+        Frame::Oversized | Frame::End => None,
+    })
+}
+
+/// What [`read_frame`] found on the stream.
+pub(crate) enum Frame {
+    /// One artifact's text (partial when input ended mid-artifact).
+    Artifact(String),
+    /// The artifact outgrew the byte limit before its `end` line; the
+    /// stream is now mid-artifact and cannot be framed any further.
+    Oversized,
+    /// End of input.
+    End,
+}
+
+/// [`read_artifact`] with a byte ceiling: never buffers more than
+/// `limit + 1` bytes, however long the artifact — or a single line of
+/// it — runs.
+pub(crate) fn read_frame(input: &mut impl BufRead, limit: usize) -> io::Result<Frame> {
     let mut buf = String::new();
-    let mut line = String::new();
     let mut meaningful = false;
     loop {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            return Ok(if meaningful { Some(buf) } else { None });
+        let start = buf.len();
+        // One byte past the limit tells "at the limit" from "over it".
+        let room = ((limit - start) as u64).saturating_add(1);
+        if io::Read::take(&mut *input, room).read_line(&mut buf)? == 0 {
+            return Ok(if meaningful {
+                Frame::Artifact(buf)
+            } else {
+                Frame::End
+            });
         }
-        let trimmed = line.trim();
+        if buf.len() > limit {
+            return Ok(Frame::Oversized);
+        }
+        let trimmed = buf[start..].trim();
         meaningful |= !(trimmed.is_empty() || trimmed.starts_with(';'));
-        buf.push_str(&line);
         if trimmed == "end" {
-            return Ok(Some(buf));
+            return Ok(Frame::Artifact(buf));
         }
     }
 }
@@ -148,47 +176,11 @@ pub struct Request {
     pub text: String,
     /// Stream-target session for snapshot/trace artifacts (queries name
     /// their own). `None` targets the server's default session. Set by
-    /// in-process pumps that are bound to a session (e.g. `--follow`);
-    /// wire clients always pump with `None`.
+    /// in-process feeders bound to a session (`--follow`); wire clients
+    /// have no session side-channel and always send `None`.
     pub session: Option<String>,
     /// Where the serialized response artifact is sent.
     pub reply: mpsc::Sender<String>,
-}
-
-/// The client side of the engine channel: frames artifacts off `input`,
-/// ships them to the engine side, writes the replies to `output` in
-/// order. Returns the number of artifacts pumped (end of input, engine
-/// side gone, or client gone all end the pump).
-pub fn pump_stream(
-    requests: &mpsc::Sender<Request>,
-    input: &mut impl BufRead,
-    output: &mut impl Write,
-) -> io::Result<u64> {
-    pump_stream_as(requests, None, input, output)
-}
-
-/// [`pump_stream`] with the stream's snapshot/trace ingest bound to a
-/// session (the channel twin of [`serve_stream`]'s `stream_session`;
-/// queries still name their own). For in-process pumps — wire clients
-/// have no session side-channel and always pump unbound.
-pub fn pump_stream_as(
-    requests: &mpsc::Sender<Request>,
-    session: Option<&str>,
-    input: &mut impl BufRead,
-    output: &mut impl Write,
-) -> io::Result<u64> {
-    let mut pumped = 0;
-    while let Some(text) = read_artifact(input)? {
-        // The engine side shutting down (mid-request or before) ends
-        // the pump like end of input does.
-        let Some(response) = submit(requests, text, session).and_then(|rx| rx.recv().ok()) else {
-            break;
-        };
-        pumped += 1;
-        output.write_all(response.as_bytes())?;
-        output.flush()?;
-    }
-    Ok(pumped)
 }
 
 /// Ships one artifact to the engine side, returning the channel its
@@ -397,49 +389,6 @@ fn tail_rotated(path: &std::path::Path, file: &std::fs::File, consumed: u64) -> 
     Ok(false)
 }
 
-/// Accepts unix-socket connections forever, pumping each on its own
-/// thread into the engine side. Holds a [`Request`] sender for as long
-/// as it runs, keeping the router alive after stdin ends. Accept errors
-/// (EINTR, fd exhaustion under load, ...) are transient for a daemon:
-/// they are reported to stderr and the loop keeps accepting — one bad
-/// accept must not leave a healthy-looking server deaf to new clients.
-#[cfg(unix)]
-pub fn accept_loop(
-    requests: mpsc::Sender<Request>,
-    listener: std::os::unix::net::UnixListener,
-) -> io::Result<()> {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) => {
-                dna_obs::log::announce(&format!("dna serve: accept failed (retrying): {e}"));
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                continue;
-            }
-        };
-        let requests = requests.clone();
-        std::thread::spawn(move || {
-            let mut reader = io::BufReader::new(&stream);
-            let mut writer = io::BufWriter::new(&stream);
-            // A vanished client is its own problem; the server lives on.
-            let _ = pump_stream(&requests, &mut reader, &mut writer);
-        });
-    }
-}
-
-/// Sends one query artifact over a unix socket and reads back the one
-/// response artifact (client side of [`accept_loop`]).
-#[cfg(unix)]
-pub fn query_socket(path: &std::path::Path, query_text: &str) -> io::Result<String> {
-    use std::os::unix::net::UnixStream;
-    let stream = UnixStream::connect(path)?;
-    (&stream).write_all(query_text.as_bytes())?;
-    (&stream).flush()?;
-    stream.shutdown(std::net::Shutdown::Write)?;
-    let mut reader = io::BufReader::new(&stream);
-    Ok(read_artifact(&mut reader)?.unwrap_or_default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +412,28 @@ mod tests {
         let second = read_artifact(&mut input).unwrap().unwrap();
         assert_eq!(second, b);
         assert_eq!(read_artifact(&mut input).unwrap(), None);
+    }
+
+    #[test]
+    fn framing_never_buffers_past_the_limit() {
+        let artifact = "dna-io v5 query\n  stats\nend\n";
+        let frame = |text: &str, limit| read_frame(&mut io::Cursor::new(text.as_bytes()), limit);
+        // Exactly at the limit passes; one byte under it does not.
+        assert!(matches!(
+            frame(artifact, artifact.len()).unwrap(),
+            Frame::Artifact(text) if text == artifact
+        ));
+        assert!(matches!(
+            frame(artifact, artifact.len() - 1).unwrap(),
+            Frame::Oversized
+        ));
+        // A line that never ends is cut off too, not read to its end.
+        let mut endless = io::Cursor::new(vec![b'x'; 4096]);
+        assert!(matches!(
+            read_frame(&mut endless, 100).unwrap(),
+            Frame::Oversized
+        ));
+        assert_eq!(endless.position(), 101, "one byte past the limit, no more");
     }
 
     #[test]
@@ -511,42 +482,6 @@ mod tests {
                 assert_eq!(list[0].name, "main");
             }
             other => panic!("expected sessions, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pumped_requests_are_served_from_other_threads() {
-        let (tx, rx) = mpsc::channel();
-        let client = std::thread::spawn(move || {
-            let stream = format!(
-                "{}{}",
-                write_snapshot(&one_router_snapshot()),
-                write_query(&Query {
-                    session: Some("main".into()),
-                    kind: QueryKind::Stats,
-                })
-            );
-            let mut out = Vec::new();
-            let pumped =
-                pump_stream(&tx, &mut io::Cursor::new(stream.into_bytes()), &mut out).unwrap();
-            (pumped, String::from_utf8(out).unwrap())
-        });
-        // Engines never leave their session threads; only strings cross.
-        let summary = crate::Router::new(Default::default()).run(rx);
-        let (pumped, out) = client.join().unwrap();
-        assert_eq!(pumped, 2);
-        assert_eq!(summary.artifacts, 2);
-        assert_eq!(summary.errors, 0);
-        let mut cursor = io::Cursor::new(out.into_bytes());
-        let _loaded = read_artifact(&mut cursor).unwrap().unwrap();
-        let stats = parse_response(&read_artifact(&mut cursor).unwrap().unwrap()).unwrap();
-        match stats {
-            Response::Stats(s) => {
-                assert_eq!(s.session, "main");
-                assert_eq!(s.epochs, 0);
-                assert_eq!(s.devices, 1);
-            }
-            other => panic!("expected stats, got {other:?}"),
         }
     }
 }

@@ -245,16 +245,17 @@ pub struct Session {
     history_bytes: usize,
     mismatches: u64,
     /// Where this session publishes its immutable [`QueryView`] after
-    /// every applied epoch (see [`crate::view`]). `None` outside the
-    /// TCP front door — pipe-mode sessions never pay the capture.
+    /// every applied epoch (see [`crate::view`]). `None` without a
+    /// socket door — pipe-mode sessions never pay the capture.
     view: Option<Arc<ViewSlot>>,
     /// Standing queries ([`crate::subs`]). Interior mutability because
     /// subscribe/poll arrive on the `&self` query path while
     /// commit-tail evaluation runs on the ingest path of the same
     /// thread; the lock is never contended across threads.
     subs: Mutex<SubscriptionRegistry>,
-    /// Push fan-out to TCP watchers; `None` outside the TCP front door
-    /// (the `notifications` poll works on every transport regardless).
+    /// Push fan-out to watching connections; `None` without a socket
+    /// door (the `notifications` poll works on every transport
+    /// regardless).
     hub: Option<Arc<NotifyHub>>,
     obs: SessionObs,
 }
@@ -726,14 +727,15 @@ impl Session {
     /// Publishes an immutable [`QueryView`] of the current state into
     /// the attached slot (no-op without one). Runs on the engine
     /// thread after every applied epoch; readers swap to the new view
-    /// with one atomic version check. Returns the nanoseconds the
-    /// capture took (0 when nothing was published).
+    /// with one atomic version check. Returns the nanoseconds from
+    /// the start of the engine capture to the end of the slot swap (0
+    /// when nothing was published).
     fn publish_view(&self) -> u64 {
         let Some(slot) = &self.view else { return 0 };
+        let start = Instant::now();
         let Some(engine) = self.replay.view() else {
             return 0;
         };
-        let start = Instant::now();
         let devices: std::collections::BTreeMap<_, _> = self
             .snapshot()
             .devices
@@ -768,7 +770,7 @@ impl Session {
     }
 
     /// Attaches the hub this session pushes notify artifacts through
-    /// (the TCP front door). Polling works without one.
+    /// (a socket door). Polling works without one.
     pub fn set_notify_hub(&mut self, hub: Arc<NotifyHub>) {
         self.hub = Some(hub);
     }

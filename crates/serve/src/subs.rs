@@ -9,7 +9,7 @@
 //! produces zero work and zero bytes. When the answer changes, the
 //! session appends one [`dna_io::NotifyEvent`] per commit to the
 //! subscription's bounded poll queue and — when a [`NotifyHub`] is
-//! attached (the TCP front door) — publishes a rendered `notify`
+//! attached (a socket door exists) — publishes a rendered `notify`
 //! artifact to every watching connection.
 //!
 //! Delivery never blocks the engine: both the per-subscription poll
@@ -32,7 +32,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 pub(crate) const POLL_QUEUE_CAP: usize = 256;
 
 /// Rendered artifacts queued per (watcher, subscription) on the push
-/// path. A slow TCP consumer overflows its own queue; the engine and
+/// path. A slow consumer overflows its own queue; the engine and
 /// every other consumer are unaffected.
 pub(crate) const WATCH_QUEUE_CAP: usize = 64;
 
@@ -188,7 +188,7 @@ impl SubscriptionRegistry {
     }
 }
 
-/// One TCP connection's registration on the hub.
+/// One connection's registration on the hub.
 struct Watcher {
     /// Set when the connection goes away; `wait` returns `None` and the
     /// pusher thread exits.
@@ -204,7 +204,7 @@ struct WatchQueue {
     drop_epoch: u64,
 }
 
-/// The push-delivery fan-out between session engine threads and TCP
+/// The push-delivery fan-out between session engine threads and
 /// connection threads. Engine threads call [`NotifyHub::publish`] after
 /// a commit changed a subscription's answer — a bounded enqueue plus a
 /// condvar signal, never a socket write, so a slow consumer can never

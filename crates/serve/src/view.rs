@@ -6,8 +6,8 @@
 //! coupling for the read-only queries: after every applied epoch the
 //! session publishes an immutable [`QueryView`] — frozen packet-class
 //! arena, FIB, reach sets, the retained history window, and the
-//! cumulative stats — into a [`ViewSlot`]. Reader threads (the TCP
-//! front door, [`crate::net`]) answer reach / reach-pair / blast /
+//! cumulative stats — into a [`ViewSlot`]. Reader threads (the
+//! connection loop, [`crate::net`]) answer reach / reach-pair / blast /
 //! report / stats queries straight from the latest published view,
 //! never touching the engine thread; only mutating requests (snapshot
 //! loads, trace ingest, checkpoints) still route to it.
@@ -112,20 +112,26 @@ impl ViewSlot {
 
     /// Publishes a new immutable view, replacing any previous one.
     pub fn publish(&self, view: Arc<QueryView>) {
-        let mut guard = crate::lock(&self.slot);
-        *guard = Some(view);
-        // Bump inside the guard: a reader that sees the new version is
-        // guaranteed to load at least this view, never an older one.
-        self.version.fetch_add(1, Ordering::Release);
+        self.swap(Some(view));
     }
 
     /// Withdraws the published view (session failed or was replaced by
     /// one that has not published yet): readers fall back to routing
     /// through the engine thread, which owns the error story.
     pub fn clear(&self) {
+        self.swap(None);
+    }
+
+    fn swap(&self, next: Option<Arc<QueryView>>) {
         let mut guard = crate::lock(&self.slot);
-        *guard = None;
+        let previous = std::mem::replace(&mut *guard, next);
+        // Bump inside the guard: a reader that sees the new version is
+        // guaranteed to load at least this view, never an older one.
         self.version.fetch_add(1, Ordering::Release);
+        drop(guard);
+        // Freed only now: when this was the last reference, dropping a
+        // whole pset arena and reach map must not hold up `load`.
+        drop(previous);
     }
 
     /// The current publish version — one atomic load, the whole cost

@@ -17,7 +17,7 @@ use dna_io::{
     parse_response, write_query, write_response, write_snapshot, write_trace, Query, QueryKind,
     Response, Trace, TraceEpoch,
 };
-use dna_serve::{pump_stream, read_artifact, Request, Router, Session, SessionConfig};
+use dna_serve::{read_artifact, serve_connection, Edge, Request, Router, Session, SessionConfig};
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::sync::mpsc;
@@ -263,7 +263,9 @@ fn backlog_drain_matches_sequential_replay() {
         kind: QueryKind::Stats,
     }));
     let mut out = Vec::new();
-    pump_stream(&tx, &mut Cursor::new(queries.into_bytes()), &mut out).expect("pump runs");
+    let edge = Edge::new(tx.clone());
+    serve_connection(&edge, "test", usize::MAX, Cursor::new(queries), &mut out).expect("served");
+    drop(edge);
     let mut cursor = Cursor::new(out);
     let mut got = Vec::new();
     while let Some(a) = read_artifact(&mut cursor).expect("well-framed") {

@@ -14,7 +14,7 @@
 use dna_io::{
     parse_response, write_query, write_trace, Query, QueryKind, Response, Trace, TraceEpoch,
 };
-use dna_serve::{pump_stream, pump_stream_as, read_artifact, Router, Session, SessionConfig};
+use dna_serve::{read_artifact, serve_connection, Edge, Request, Router, Session, SessionConfig};
 use std::collections::BTreeSet;
 use std::io::Cursor;
 use std::sync::mpsc;
@@ -100,31 +100,45 @@ fn oracle(name: &str, snapshot: &net_model::Snapshot, epochs: &[TraceEpoch]) -> 
     }
 }
 
-/// One ingesting client: alternates CHUNK-epoch trace artifacts with a
-/// reach query, returning the response artifacts it saw.
+/// One ingesting client bound to its session the way a `--follow` tail
+/// is (the request's `session` field — the wire has no such
+/// side-channel): alternates CHUNK-epoch trace artifacts with a reach
+/// query, returning the response artifacts it saw.
 fn ingest_client(
-    tx: mpsc::Sender<dna_serve::Request>,
+    tx: mpsc::Sender<Request>,
     session: String,
     epochs: Vec<TraceEpoch>,
 ) -> std::thread::JoinHandle<Vec<String>> {
     std::thread::spawn(move || {
-        let mut stream = String::new();
+        let ask = |text: String| {
+            let (reply, reply_rx) = mpsc::channel();
+            tx.send(Request {
+                text,
+                session: Some(session.clone()),
+                reply,
+            })
+            .expect("router request");
+            reply_rx.recv().expect("router reply")
+        };
+        let mut seen = Vec::new();
         for chunk in epochs.chunks(CHUNK) {
-            stream.push_str(&write_trace(&Trace {
+            seen.push(ask(write_trace(&Trace {
                 epochs: chunk.to_vec(),
-            }));
-            stream.push_str(&reach_query(&session));
+            })));
+            seen.push(ask(reach_query(&session)));
         }
-        let mut out = Vec::new();
-        pump_stream_as(
-            &tx,
-            Some(&session),
-            &mut Cursor::new(stream.into_bytes()),
-            &mut out,
-        )
-        .expect("pump runs");
-        split_artifacts(&String::from_utf8(out).expect("utf-8"))
+        seen
     })
+}
+
+/// One client connection's worth of artifacts through the one
+/// connection loop; returns the concatenated replies.
+fn over_connection(tx: &mpsc::Sender<Request>, artifacts: String) -> String {
+    let edge = Edge::new(tx.clone());
+    let mut out = Vec::new();
+    serve_connection(&edge, "test", usize::MAX, Cursor::new(artifacts), &mut out)
+        .expect("connection served");
+    String::from_utf8(out).expect("utf-8")
 }
 
 fn split_artifacts(text: &str) -> Vec<String> {
@@ -160,9 +174,7 @@ fn concurrent_two_session_ingest_matches_sequential_replay() {
             let mut seen = Vec::new();
             for i in 0..40 {
                 let q = reach_query(if i % 2 == 0 { "a" } else { "b" });
-                let mut out = Vec::new();
-                pump_stream(&tx, &mut Cursor::new(q.into_bytes()), &mut out).expect("pump runs");
-                seen.push((i % 2, String::from_utf8(out).expect("utf-8")));
+                seen.push((i % 2, over_connection(&tx, q)));
             }
             seen
         })
@@ -217,9 +229,7 @@ fn concurrent_two_session_ingest_matches_sequential_replay() {
             kind: QueryKind::Stats,
         }),
     );
-    let mut out = Vec::new();
-    pump_stream(&tx, &mut Cursor::new(closing.into_bytes()), &mut out).expect("pump runs");
-    let closing = split_artifacts(&String::from_utf8(out).expect("utf-8"));
+    let closing = split_artifacts(&over_connection(&tx, closing));
     assert_eq!(closing[0], oracle_a.blast);
     assert_eq!(closing[1], oracle_a.report);
     assert_eq!(closing[2], oracle_b.blast);

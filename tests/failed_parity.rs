@@ -16,8 +16,7 @@
 //! router sessions.
 
 use dna_io::{write_query, write_trace, Query, QueryKind, Trace, TraceEpoch};
-use dna_serve::{query_tcp, NotifyHub, Request, Router, SessionConfig, ViewRegistry};
-use std::net::TcpListener;
+use dna_serve::{Edge, Endpoint, NotifyHub, Request, Router, SessionConfig, ViewRegistry};
 use std::sync::{mpsc, Arc};
 use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
@@ -39,22 +38,25 @@ fn failed_session_answers_identically_over_tcp_and_the_engine_channel() {
     // behind a real TCP accept loop.
     let views = Arc::new(ViewRegistry::new());
     let hub = Arc::new(NotifyHub::new());
-    let mut router = Router::new(SessionConfig::default())
-        .with_views(Arc::clone(&views))
-        .with_notify_hub(Arc::clone(&hub));
+    let mut router =
+        Router::new(SessionConfig::default()).publishing(Arc::clone(&views), Arc::clone(&hub));
     router
         .preload(vec![("fp".into(), ft.snapshot)])
         .expect("session opens");
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || router.run(rx));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let accept_tx = tx.clone();
-    std::thread::spawn(move || dna_serve::tcp_accept_loop(accept_tx, listener, views, hub));
+    let edge = Edge {
+        requests: tx.clone(),
+        views,
+        hub,
+    };
+    let server = Endpoint::Tcp("127.0.0.1:0".into())
+        .listen(edge)
+        .expect("bind an ephemeral port");
 
     // Trip the fence: the labeled epoch panics the engine thread inside
     // its fence, and the ingest reply already carries the reason.
-    let ack = query_tcp(&addr, &write_trace(&trace)).expect("trace over tcp");
+    let ack = server.query(&write_trace(&trace)).expect("trace over tcp");
     assert!(
         ack.contains("failed") && ack.contains("inject-parity-fault"),
         "fault must fence the session:\n{ack}"
@@ -67,8 +69,8 @@ fn failed_session_answers_identically_over_tcp_and_the_engine_channel() {
             dst: "edge1_1".into(),
         },
     });
-    // The engine request channel — what the stdin pipe and unix-socket
-    // pumps deliver (both are thin framers over this channel).
+    // The engine request channel — what every connection forwards to
+    // once it has no view to answer from.
     let (reply_tx, reply_rx) = mpsc::channel();
     tx.send(Request {
         text: query.clone(),
@@ -79,7 +81,7 @@ fn failed_session_answers_identically_over_tcp_and_the_engine_channel() {
     let channel_reply = reply_rx.recv().expect("engine answers");
     // The TCP front door: its view was withdrawn by the fence, so the
     // query must fall through to the engine and return the same bytes.
-    let tcp_reply = query_tcp(&addr, &query).expect("query over tcp");
+    let tcp_reply = server.query(&query).expect("query over tcp");
 
     // Inside the response artifact the message is a quoted string, so
     // the session name's quotes arrive backslash-escaped.

@@ -2,8 +2,8 @@
 //!
 //! * `health` is a transport-level answer: the same registry state must
 //!   render **byte-identically** over every transport — the pipe
-//!   server, the router's engine channel (what the unix-socket and
-//!   `--follow` pumps forward to), and the TCP front door;
+//!   server, the router's engine channel (what connections and
+//!   `--follow` tails forward to), and the TCP front door;
 //! * the watchdog semantics hold under forced conditions: a saturated
 //!   ingest queue degrades its session *and* the server rollup, while a
 //!   failed (panic-fenced) session stays contained — listed `failed`,
@@ -14,7 +14,8 @@
 //! * transport parity holds for *everything*, not just `health`: one
 //!   script — every `QueryKind`, every inbound artifact kind, a
 //!   truncated artifact, unknown and absent session names — driven
-//!   through pipe, router channel and TCP answers byte-identically.
+//!   through pipe, router channel, TCP and a unix socket answers
+//!   byte-identically.
 //!
 //! Everything lives in ONE test function: the registry, history ring
 //! and span rings are process-global, so sequencing inside a single
@@ -24,11 +25,11 @@ use dna_io::{
     parse_health, parse_history, write_query, write_trace, HealthStatus, Query, QueryKind, Trace,
 };
 use dna_serve::{
-    query_tcp, read_artifact, serve_stream, tcp_accept_loop, Request, Router, Session,
-    SessionConfig, SessionManager, ViewRegistry,
+    read_artifact, serve_stream, Edge, Endpoint, Request, Router, Session, SessionConfig,
+    SessionManager, ViewRegistry,
 };
-use std::io::{BufReader, Cursor, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, Cursor, Read, Write};
+use std::net::TcpStream;
 use std::sync::{mpsc, Arc};
 use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
@@ -97,21 +98,36 @@ fn via_channel(tx: &mpsc::Sender<Request>, text: &str) -> String {
     reply_rx.recv().expect("router reply")
 }
 
-/// A router (views and notify hub attached, as under `--listen`) behind
-/// a real TCP accept loop; returns its request channel and address.
-fn tcp_stack() -> (mpsc::Sender<Request>, String) {
+/// A router (views and notify hub attached, as behind any socket
+/// door) with `door` open in front of it; returns its request channel
+/// and the bound endpoint.
+fn socket_stack(door: Endpoint) -> (mpsc::Sender<Request>, Endpoint) {
     let views = Arc::new(ViewRegistry::new());
     let hub = Arc::new(dna_serve::NotifyHub::new());
-    let router = Router::new(SessionConfig::default())
-        .with_views(Arc::clone(&views))
-        .with_notify_hub(Arc::clone(&hub));
+    let router =
+        Router::new(SessionConfig::default()).publishing(Arc::clone(&views), Arc::clone(&hub));
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || router.run(rx));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let accept_tx = tx.clone();
-    std::thread::spawn(move || tcp_accept_loop(accept_tx, listener, views, hub));
-    (tx, addr)
+    let edge = Edge {
+        requests: tx.clone(),
+        views,
+        hub,
+    };
+    (tx, door.listen(edge).expect("door opens"))
+}
+
+/// One artifact over a raw socket held open across calls (raw, so the
+/// truncated-artifact row can half-close it). Strict request/reply
+/// lockstep, so a fresh read buffer per reply loses nothing.
+fn via_socket<S>(stream: &S, text: &str) -> String
+where
+    for<'a> &'a S: Read + Write,
+{
+    let mut wire = stream;
+    wire.write_all(text.as_bytes()).expect("send over socket");
+    read_artifact(&mut BufReader::new(stream))
+        .expect("well-framed reply")
+        .expect("one reply per artifact")
 }
 
 /// The parity table: every kind of thing a client can send, as
@@ -231,24 +247,29 @@ fn every_reply_is_byte_identical_on_every_transport() {
 
     // A router with published views behind a real TCP listener.
     let views = Arc::new(ViewRegistry::new());
-    let mut router = Router::new(SessionConfig::default()).with_views(Arc::clone(&views));
+    let hub = Arc::new(dna_serve::NotifyHub::new());
+    let mut router =
+        Router::new(SessionConfig::default()).publishing(Arc::clone(&views), Arc::clone(&hub));
     router
         .preload(vec![("hp".into(), ft.snapshot.clone())])
         .expect("session opens");
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || router.run(rx));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let accept_tx = tx.clone();
-    let hub = Arc::new(dna_serve::NotifyHub::new());
-    std::thread::spawn(move || tcp_accept_loop(accept_tx, listener, views, hub));
+    let edge = Edge {
+        requests: tx.clone(),
+        views,
+        hub,
+    };
+    let server = Endpoint::Tcp("127.0.0.1:0".into())
+        .listen(edge)
+        .expect("bind an ephemeral port");
 
     // ---- history, phase 1: a sample before any ingest. ----
     dna_obs::history().record(dna_obs::uptime_ms(), &dna_obs::global().snapshot(None));
 
     // Live ingest over TCP.
     let trace = Trace { epochs };
-    let ack = query_tcp(&addr, &write_trace(&trace)).expect("trace over tcp");
+    let ack = server.query(&write_trace(&trace)).expect("trace over tcp");
     assert!(
         matches!(
             dna_io::parse_response(&ack).expect("ack parses"),
@@ -265,10 +286,10 @@ fn every_reply_is_byte_identical_on_every_transport() {
     let health_q = q(QueryKind::Health);
 
     // 1. TCP front door (answered on the connection thread).
-    let over_tcp = query_tcp(&addr, &health_q).expect("health over tcp");
+    let over_tcp = server.query(&health_q).expect("health over tcp");
 
-    // 2. The router's engine-side request channel (what a unix-socket
-    //    accept loop in router mode forwards to).
+    // 2. The router's engine-side request channel (what connections
+    //    and `--follow` tails forward to).
     let (rtx, rrx) = mpsc::channel();
     tx.send(Request {
         text: health_q.clone(),
@@ -307,7 +328,7 @@ fn every_reply_is_byte_identical_on_every_transport() {
     let sat = dna_obs::SessionAccounting::register(dna_obs::global(), "hp-sat");
     sat.beat(); // fresh heartbeat: depth, not staleness, is the finding
     sat.queue_depth.set(65); // default DNA_OBS_QUEUE_DEPTH_WARN is 64
-    let degraded = parse_health(&query_tcp(&addr, &health_q).expect("health")).expect("parses");
+    let degraded = parse_health(&server.query(&health_q).expect("health")).expect("parses");
     assert_eq!(
         degraded.server,
         HealthStatus::Degraded,
@@ -327,7 +348,7 @@ fn every_reply_is_byte_identical_on_every_transport() {
     // ---- forced failure: a panic-fenced session stays contained. ----
     let dead = dna_obs::SessionAccounting::register(dna_obs::global(), "hp-dead");
     dead.failed.set(1);
-    let contained = parse_health(&query_tcp(&addr, &health_q).expect("health")).expect("parses");
+    let contained = parse_health(&server.query(&health_q).expect("health")).expect("parses");
     assert_eq!(
         contained.server,
         HealthStatus::Ok,
@@ -345,11 +366,13 @@ fn every_reply_is_byte_identical_on_every_transport() {
     dead.retire(dna_obs::global());
 
     // Retiring both restores the exact pre-fault bytes.
-    let restored = query_tcp(&addr, &health_q).expect("health");
+    let restored = server.query(&health_q).expect("health");
     assert_eq!(restored, over_tcp, "retired sessions must leave no residue");
 
     // ---- history --rates: the ingest shows up as a real rate. ----
-    let dump = query_tcp(&addr, &q(QueryKind::History { last: None })).expect("history over tcp");
+    let dump = server
+        .query(&q(QueryKind::History { last: None }))
+        .expect("history over tcp");
     let report = parse_history(&dump).expect("dump is a canonical history artifact");
     assert!(
         report.samples.len() >= 2,
@@ -367,7 +390,9 @@ fn every_reply_is_byte_identical_on_every_transport() {
     );
     // `history 1` trims to the freshest sample (rates then degenerate).
     let tail = parse_history(
-        &query_tcp(&addr, &q(QueryKind::History { last: Some(1) })).expect("history tail"),
+        &server
+            .query(&q(QueryKind::History { last: Some(1) }))
+            .expect("history tail"),
     )
     .expect("tail parses");
     assert_eq!(tail.samples.len(), 1);
@@ -378,31 +403,42 @@ fn every_reply_is_byte_identical_on_every_transport() {
     );
 
     // ---- transport parity for every kind, not just `health`. ----
-    // Three independent stacks fed the same script, so their sessions
+    // Four independent stacks fed the same script, so their sessions
     // evolve identically: the inline manager behind the pipe loop, a
-    // bare router driven over its request channel (what the
-    // unix-socket and `--follow` pumps talk to), and a router behind
-    // one persistent TCP connection (one connection, so
-    // `tcp_connections` holds still while a row is in flight).
+    // bare router driven over its request channel (what connections
+    // and `--follow` tails talk to), and a router behind each socket
+    // door, over one persistent connection apiece (one connection, so
+    // the `*_connections` counters hold still while a row is in
+    // flight).
     let mut pipe_mgr = SessionManager::new(SessionConfig::default());
     let (channel_tx, channel_rx) = mpsc::channel();
     std::thread::spawn(move || Router::new(SessionConfig::default()).run(channel_rx));
-    let (_tcp_tx, tcp_addr) = tcp_stack();
-    let tcp = TcpStream::connect(&tcp_addr).expect("connect");
-    let mut tcp_in = BufReader::new(&tcp);
-    let mut via_tcp = |text: &str| {
-        (&tcp).write_all(text.as_bytes()).expect("send over tcp");
-        read_artifact(&mut tcp_in)
-            .expect("well-framed reply")
-            .expect("one reply per artifact")
+    let (_tcp_tx, tcp_door) = socket_stack(Endpoint::Tcp("127.0.0.1:0".into()));
+    let Endpoint::Tcp(tcp_addr) = &tcp_door else {
+        unreachable!("a TCP door binds a TCP endpoint");
+    };
+    let tcp = TcpStream::connect(tcp_addr).expect("connect");
+    #[cfg(unix)]
+    let unix = {
+        let path = std::env::temp_dir().join(format!("dna-parity-{}.sock", std::process::id()));
+        let _unix_stack = socket_stack(Endpoint::Unix(path.clone()));
+        let stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        let _ = std::fs::remove_file(path);
+        stream
     };
     for (label, text) in parity_script(&ft.snapshot, &trace) {
         let over_pipe = without_timings(via_pipe(&mut pipe_mgr, &text));
         let over_channel = without_timings(via_channel(&channel_tx, &text));
-        let over_tcp = without_timings(via_tcp(&text));
+        let over_tcp = without_timings(via_socket(&tcp, &text));
         assert!(!over_pipe.is_empty(), "{label}: no reply");
         assert_eq!(over_pipe, over_channel, "{label}: pipe vs router channel");
         assert_eq!(over_pipe, over_tcp, "{label}: pipe vs tcp");
+        #[cfg(unix)]
+        assert_eq!(
+            over_pipe,
+            without_timings(via_socket(&unix, &text)),
+            "{label}: pipe vs unix socket"
+        );
     }
     // A truncated artifact can only end a stream: input stops mid
     // artifact and the partial text is answered as a typed error.
@@ -416,9 +452,24 @@ fn every_reply_is_byte_identical_on_every_transport() {
         "truncated artifact must answer a typed error:\n{over_pipe}"
     );
     assert_eq!(over_pipe, via_channel(&channel_tx, truncated), "truncated");
+    let half_close = std::net::Shutdown::Write;
     (&tcp).write_all(truncated.as_bytes()).expect("send");
-    tcp.shutdown(std::net::Shutdown::Write)
-        .expect("close write half");
-    let over_tcp = read_artifact(&mut tcp_in).expect("framed").expect("reply");
-    assert_eq!(over_pipe, over_tcp, "truncated: pipe vs tcp");
+    tcp.shutdown(half_close).expect("close write half");
+    let over_tcp = read_artifact(&mut BufReader::new(&tcp)).expect("framed");
+    assert_eq!(
+        Some(&over_pipe),
+        over_tcp.as_ref(),
+        "truncated: pipe vs tcp"
+    );
+    #[cfg(unix)]
+    {
+        (&unix).write_all(truncated.as_bytes()).expect("send");
+        unix.shutdown(half_close).expect("close write half");
+        let over_unix = read_artifact(&mut BufReader::new(&unix)).expect("framed");
+        assert_eq!(
+            Some(&over_pipe),
+            over_unix.as_ref(),
+            "truncated: pipe vs unix"
+        );
+    }
 }

@@ -12,11 +12,10 @@
 //!   the bucket; the scraper reads buckets before the count).
 
 use dna_io::{parse_metrics, parse_spans, write_query, write_trace, Query, QueryKind, Trace};
-use dna_serve::{query_tcp, tcp_accept_loop, Router, SessionConfig, ViewRegistry};
+use dna_serve::{Edge, Endpoint, Router, SessionConfig, ViewRegistry};
 use proptest::prelude::*;
-use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
 const EPOCHS: usize = 6;
@@ -30,20 +29,22 @@ fn q(session: Option<&str>, kind: QueryKind) -> String {
 
 /// A router with published views behind a real TCP listener (the same
 /// bring-up `tests/tcp.rs` uses).
-fn serve_tcp(
-    sessions: Vec<(String, net_model::Snapshot)>,
-) -> (SocketAddr, mpsc::Sender<dna_serve::Request>) {
+fn serve_tcp(sessions: Vec<(String, net_model::Snapshot)>) -> Endpoint {
     let views = Arc::new(ViewRegistry::new());
-    let mut router = Router::new(SessionConfig::default()).with_views(Arc::clone(&views));
-    router.preload(sessions).expect("sessions open");
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || router.run(rx));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("local addr");
-    let accept_tx = tx.clone();
     let hub = Arc::new(dna_serve::NotifyHub::new());
-    std::thread::spawn(move || tcp_accept_loop(accept_tx, listener, views, hub));
-    (addr, tx)
+    let mut router =
+        Router::new(SessionConfig::default()).publishing(Arc::clone(&views), Arc::clone(&hub));
+    router.preload(sessions).expect("sessions open");
+    let (requests, rx) = mpsc::channel();
+    std::thread::spawn(move || router.run(rx));
+    let edge = Edge {
+        requests,
+        views,
+        hub,
+    };
+    Endpoint::Tcp("127.0.0.1:0".into())
+        .listen(edge)
+        .expect("bind an ephemeral port")
 }
 
 fn counter_value(m: &dna_io::MetricsReport, name: &str, session: Option<&str>) -> Option<u64> {
@@ -80,12 +81,12 @@ fn telemetry_queries_answer_live_over_tcp() {
             changes,
         })
         .collect();
-    let (addr, _tx) = serve_tcp(vec![("obs-live".into(), ft.snapshot)]);
+    let server = serve_tcp(vec![("obs-live".into(), ft.snapshot)]);
 
     let trace = write_trace(&Trace {
         epochs: epochs.clone(),
     });
-    let ack = query_tcp(&addr.to_string(), &trace).expect("trace over tcp");
+    let ack = server.query(&trace).expect("trace over tcp");
     assert!(
         matches!(
             dna_io::parse_response(&ack).expect("ack parses"),
@@ -95,7 +96,7 @@ fn telemetry_queries_answer_live_over_tcp() {
     );
 
     // Full scrape, no session filter.
-    let scrape = query_tcp(&addr.to_string(), &q(None, QueryKind::Metrics)).expect("metrics");
+    let scrape = server.query(&q(None, QueryKind::Metrics)).expect("metrics");
     let m = parse_metrics(&scrape).expect("scrape is a canonical metrics artifact");
     assert_eq!(
         counter_value(&m, "epochs_applied", Some("obs-live")),
@@ -120,7 +121,8 @@ fn telemetry_queries_answer_live_over_tcp() {
 
     // A session-scoped scrape keeps that session's series (and the
     // process-global ones), drops everything else.
-    let scoped = query_tcp(&addr.to_string(), &q(Some("obs-live"), QueryKind::Metrics))
+    let scoped = server
+        .query(&q(Some("obs-live"), QueryKind::Metrics))
         .expect("scoped metrics");
     let scoped = parse_metrics(&scoped).expect("scoped scrape parses");
     assert!(scoped
@@ -134,11 +136,9 @@ fn telemetry_queries_answer_live_over_tcp() {
 
     // The span ring holds one lifecycle row per epoch, in order, with
     // the stage timings this session actually went through.
-    let dump = query_tcp(
-        &addr.to_string(),
-        &q(Some("obs-live"), QueryKind::TraceSpans { last: None }),
-    )
-    .expect("trace query");
+    let dump = server
+        .query(&q(Some("obs-live"), QueryKind::TraceSpans { last: None }))
+        .expect("trace query");
     let spans = parse_spans(&dump).expect("dump is a canonical spans artifact");
     assert_eq!(spans.spans.len(), EPOCHS);
     for (i, s) in spans.spans.iter().enumerate() {
@@ -149,11 +149,12 @@ fn telemetry_queries_answer_live_over_tcp() {
         assert!(s.label.is_some(), "epoch {i} lost its scenario label");
     }
     // `trace 2` trims to the newest two rows.
-    let tail = query_tcp(
-        &addr.to_string(),
-        &q(Some("obs-live"), QueryKind::TraceSpans { last: Some(2) }),
-    )
-    .expect("trace tail");
+    let tail = server
+        .query(&q(
+            Some("obs-live"),
+            QueryKind::TraceSpans { last: Some(2) },
+        ))
+        .expect("trace tail");
     let tail = parse_spans(&tail).expect("tail parses");
     assert_eq!(
         tail.spans,
@@ -186,23 +187,26 @@ fn eight_tcp_clients_scraping_metrics_never_see_torn_histograms() {
             changes,
         })
         .collect();
-    let (addr, _tx) = serve_tcp(vec![("obs-race".into(), ft.snapshot)]);
+    let server = serve_tcp(vec![("obs-race".into(), ft.snapshot)]);
 
     // One epoch per trace artifact maximizes the scrape/apply overlap.
+    let ingest = server.clone();
     let writer = std::thread::spawn(move || {
         for ep in epochs {
             let trace = write_trace(&Trace { epochs: vec![ep] });
-            let ack = query_tcp(&addr.to_string(), &trace).expect("trace over tcp");
+            let ack = ingest.query(&trace).expect("trace over tcp");
             assert!(ack.contains("ok ingested"), "bad ack:\n{ack}");
         }
     });
     let scrapers: Vec<_> = (0..CLIENTS)
         .map(|_| {
+            let server = server.clone();
             std::thread::spawn(move || {
                 let mut floors: std::collections::BTreeMap<(String, Option<String>), u64> =
                     std::collections::BTreeMap::new();
                 for _ in 0..ROUNDS {
-                    let text = query_tcp(&addr.to_string(), &q(None, QueryKind::Metrics))
+                    let text = server
+                        .query(&q(None, QueryKind::Metrics))
                         .expect("metrics over tcp");
                     let m = parse_metrics(&text).expect("every scrape is well-formed");
                     for h in &m.histograms {
@@ -230,7 +234,7 @@ fn eight_tcp_clients_scraping_metrics_never_see_torn_histograms() {
         s.join().expect("scraper thread");
     }
     // At rest, the session's apply histogram books balance exactly.
-    let settled = query_tcp(&addr.to_string(), &q(None, QueryKind::Metrics)).expect("metrics");
+    let settled = server.query(&q(None, QueryKind::Metrics)).expect("metrics");
     let settled = parse_metrics(&settled).expect("parses");
     let apply = settled
         .histograms
@@ -251,25 +255,15 @@ fn torn_histogram_scrapes_never_overcount_buckets() {
     const OBS_PER_WRITER: u64 = 40_000;
     let reg = Arc::new(dna_obs::Registry::new());
     let done = Arc::new(AtomicBool::new(false));
-
-    let writers: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let h = reg.histogram("contended_us");
-            std::thread::spawn(move || {
-                for i in 0..OBS_PER_WRITER {
-                    // Sweep the observations across all bucket bounds
-                    // (and the overflow bucket) so torn reads can land
-                    // anywhere in the array.
-                    let us = (i.wrapping_mul(7).wrapping_add(w as u64)) % 2_000_000;
-                    h.observe_ns(us * 1_000);
-                }
-            })
-        })
-        .collect();
+    // The reader starts first and releases the writers only once its
+    // first scrape is in: on a loaded box the eight writers could
+    // otherwise finish before the reader is ever scheduled.
+    let start = Arc::new(Barrier::new(WRITERS + 1));
 
     let reader = {
         let reg = Arc::clone(&reg);
         let done = Arc::clone(&done);
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
             let h = reg.histogram("contended_us");
             let mut scrapes = 0u64;
@@ -286,10 +280,30 @@ fn torn_histogram_scrapes_never_overcount_buckets() {
                 assert!(snap.count >= last_count, "count went backwards");
                 last_count = snap.count;
                 scrapes += 1;
+                if scrapes == 1 {
+                    start.wait();
+                }
             }
             scrapes
         })
     };
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let h = reg.histogram("contended_us");
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..OBS_PER_WRITER {
+                    // Sweep the observations across all bucket bounds
+                    // (and the overflow bucket) so torn reads can land
+                    // anywhere in the array.
+                    let us = (i.wrapping_mul(7).wrapping_add(w as u64)) % 2_000_000;
+                    h.observe_ns(us * 1_000);
+                }
+            })
+        })
+        .collect();
 
     for w in writers {
         w.join().expect("writer");

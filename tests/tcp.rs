@@ -1,7 +1,7 @@
-//! The TCP front door, end to end: a router with published views
-//! behind a real `TcpListener`, exercised by real `TcpStream` clients.
+//! The socket front doors, end to end: a router with published views
+//! behind a real listener, exercised by real socket clients.
 //!
-//! Two pins:
+//! The pins:
 //!
 //! * the corpus service smoke driven over a socket produces the exact
 //!   bytes the pipe transport pins (`corpus/service_smoke.expected.dna`)
@@ -15,18 +15,15 @@
 //! * a subscribed connection's pushed notify stream (the `dna watch`
 //!   wire pattern) carries exactly the events a poll-after-every-epoch
 //!   client drains — changed commits push one artifact, unchanged
-//!   commits push zero bytes;
+//!   commits push zero bytes — over TCP and, byte-identically, over a
+//!   unix socket;
 //! * a pipelining client — two queries written back-to-back before
 //!   either reply is read — gets both replies, byte-identical to two
 //!   sequential round trips.
 
 use dna_io::{write_query, write_trace, Query, QueryKind, Response, Trace, TraceEpoch};
-use dna_serve::{
-    query_tcp, read_artifact, tcp_accept_loop, Router, Session, SessionConfig, ViewRegistry,
-};
+use dna_serve::{Edge, Endpoint, Router, Session, SessionConfig, ViewRegistry};
 use std::collections::BTreeSet;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use topo_gen::{fat_tree, Routing, ScenarioGen, ScenarioKind};
 
@@ -35,31 +32,32 @@ const CHUNK: usize = 2;
 const CLIENTS: usize = 8;
 const ROUNDS: usize = 6;
 
-/// Brings up a router (with the view registry attached) over the given
-/// preloaded sessions and puts a TCP accept loop in front of it.
-/// Returns the listener address and the shared registry. The router
-/// and accept threads outlive the test body; the process reaps them.
-fn serve_tcp(
+/// Brings up a router (views and notify hub attached) over the given
+/// preloaded sessions and opens `door` in front of it. Returns the
+/// bound endpoint and the shared registry. The router and accept
+/// threads outlive the test body; the process reaps them.
+fn serve_on(
+    door: Endpoint,
     sessions: Vec<(String, net_model::Snapshot)>,
-) -> (
-    SocketAddr,
-    Arc<ViewRegistry>,
-    mpsc::Sender<dna_serve::Request>,
-) {
+) -> (Endpoint, Arc<ViewRegistry>) {
     let views = Arc::new(ViewRegistry::new());
     let hub = Arc::new(dna_serve::NotifyHub::new());
-    let mut router = Router::new(SessionConfig::default())
-        .with_views(Arc::clone(&views))
-        .with_notify_hub(Arc::clone(&hub));
+    let mut router =
+        Router::new(SessionConfig::default()).publishing(Arc::clone(&views), Arc::clone(&hub));
     router.preload(sessions).expect("sessions open");
-    let (tx, rx) = mpsc::channel();
+    let (requests, rx) = mpsc::channel();
     std::thread::spawn(move || router.run(rx));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().expect("local addr");
-    let accept_tx = tx.clone();
-    let accept_views = Arc::clone(&views);
-    std::thread::spawn(move || tcp_accept_loop(accept_tx, listener, accept_views, hub));
-    (addr, views, tx)
+    let edge = Edge {
+        requests,
+        views: Arc::clone(&views),
+        hub,
+    };
+    (door.listen(edge).expect("door opens"), views)
+}
+
+/// [`serve_on`] an ephemeral TCP port.
+fn serve_tcp(sessions: Vec<(String, net_model::Snapshot)>) -> (Endpoint, Arc<ViewRegistry>) {
+    serve_on(Endpoint::Tcp("127.0.0.1:0".into()), sessions)
 }
 
 fn q(session: Option<&str>, kind: QueryKind) -> String {
@@ -78,7 +76,7 @@ fn q(session: Option<&str>, kind: QueryKind) -> String {
 fn tcp_responses_match_the_pinned_corpus_smoke() {
     let snapshot = dna_io::parse_snapshot(include_str!("corpus/ft4_failures.snap.dna"))
         .expect("corpus snapshot parses");
-    let (addr, views, _tx) = serve_tcp(vec![("ft4_failures".into(), snapshot)]);
+    let (server, views) = serve_tcp(vec![("ft4_failures".into(), snapshot)]);
     let input = format!(
         "{}{}{}{}",
         include_str!("corpus/ft4_failures.trace.dna"),
@@ -92,18 +90,11 @@ fn tcp_responses_match_the_pinned_corpus_smoke() {
         q(None, QueryKind::Blast { last: 8 }),
         q(None, QueryKind::Report { from: 0, to: 1 }),
     );
-    let stream = TcpStream::connect(addr).expect("connect");
-    (&stream)
-        .write_all(input.as_bytes())
-        .expect("send artifacts");
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("close write half");
-    let mut out = String::new();
-    let mut reader = BufReader::new(&stream);
-    while let Some(a) = read_artifact(&mut reader).expect("well-framed response") {
-        out.push_str(&a);
-    }
+    let mut client = server.connect().expect("connect");
+    client.send(&input).expect("send artifacts");
+    let out: String = (0..4)
+        .map(|_| client.recv().expect("well-framed").expect("one reply each"))
+        .collect();
     assert_eq!(
         out,
         include_str!("corpus/service_smoke.expected.dna"),
@@ -123,12 +114,10 @@ fn tcp_responses_match_the_pinned_corpus_smoke() {
 fn pipelined_queries_answer_like_sequential_round_trips() {
     let snapshot = dna_io::parse_snapshot(include_str!("corpus/ft4_failures.snap.dna"))
         .expect("corpus snapshot parses");
-    let (addr, _views, _tx) = serve_tcp(vec![("pipe".into(), snapshot)]);
-    let ack = query_tcp(
-        &addr.to_string(),
-        include_str!("corpus/ft4_failures.trace.dna"),
-    )
-    .expect("trace over tcp");
+    let (server, _views) = serve_tcp(vec![("pipe".into(), snapshot)]);
+    let ack = server
+        .query(include_str!("corpus/ft4_failures.trace.dna"))
+        .expect("trace over tcp");
     assert!(ack.contains("ok ingested"), "unexpected ingest ack:\n{ack}");
     let first = q(
         None,
@@ -139,35 +128,45 @@ fn pipelined_queries_answer_like_sequential_round_trips() {
     );
     let second = q(Some("pipe"), QueryKind::Blast { last: 8 });
     let sequential = [
-        query_tcp(&addr.to_string(), &first).expect("first round trip"),
-        query_tcp(&addr.to_string(), &second).expect("second round trip"),
+        server.query(&first).expect("first round trip"),
+        server.query(&second).expect("second round trip"),
     ];
 
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .expect("read timeout");
-    (&stream).write_all(first.as_bytes()).expect("first write");
-    (&stream)
-        .write_all(second.as_bytes())
-        .expect("second write");
-    let mut reader = BufReader::new(&stream);
+    let mut client = server.connect().expect("connect");
+    client.send(&first).expect("first write");
+    client.send(&second).expect("second write");
     let pipelined = [(); 2].map(|()| {
-        read_artifact(&mut reader)
-            .expect("reply within the timeout")
+        client
+            .recv()
+            .expect("well-framed reply")
             .expect("one reply per query")
     });
     assert_eq!(pipelined, sequential);
 }
 
-/// A subscribed TCP connection (the `dna watch` wire pattern): the
-/// pushed notify stream must carry exactly the event bytes a client
-/// polling `notifications <id>` after every commit collects — and
-/// nothing at all for commits that didn't change the answer.
+/// A subscribed connection (the `dna watch` wire pattern): the pushed
+/// notify stream must carry exactly the event bytes a client polling
+/// `notifications <id>` after every commit collects — and nothing at
+/// all for commits that didn't change the answer. The unix-socket door
+/// runs the same connection loop, so its pushed bytes are the TCP
+/// door's.
 #[test]
 fn watch_connection_streams_push_equal_to_poll() {
+    let over_tcp = watch_vs_poll(Endpoint::Tcp("127.0.0.1:0".into()));
+    #[cfg(unix)]
+    {
+        let path = std::env::temp_dir().join(format!("dna-watch-{}.sock", std::process::id()));
+        let over_unix = watch_vs_poll(Endpoint::Unix(path.clone()));
+        let _ = std::fs::remove_file(path);
+        assert_eq!(over_unix, over_tcp, "unix pushes must be the TCP bytes");
+    }
+}
+
+/// Runs the watch-vs-poll scenario behind `door`, asserting push ≡
+/// poll; returns the pushed artifacts.
+fn watch_vs_poll(door: Endpoint) -> Vec<String> {
     let (snapshot, epochs) = workload();
-    let (addr, _views, _tx) = serve_tcp(vec![("watch".into(), snapshot)]);
+    let (server, _views) = serve_on(door, vec![("watch".into(), snapshot)]);
     let subscribe = q(
         Some("watch"),
         QueryKind::Subscribe(dna_io::SubscriptionSpec::Blast {
@@ -177,15 +176,10 @@ fn watch_connection_streams_push_equal_to_poll() {
 
     // The watcher: one persistent connection, subscribed first so the
     // push stream covers every commit from epoch zero.
-    let watch_stream = TcpStream::connect(addr).expect("watch connects");
-    watch_stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .expect("read timeout");
-    (&watch_stream)
-        .write_all(subscribe.as_bytes())
-        .expect("send subscribe");
-    let mut watch_reader = BufReader::new(&watch_stream);
-    let ack = read_artifact(&mut watch_reader)
+    let mut watcher = server.connect().expect("watch connects");
+    watcher.send(&subscribe).expect("send subscribe");
+    let ack = watcher
+        .recv()
         .expect("well-framed ack")
         .expect("subscribe acks");
     let watch_id = dna_io::parse_notify(&ack)
@@ -194,7 +188,7 @@ fn watch_connection_streams_push_equal_to_poll() {
 
     // The poller: a twin subscription on the same session, drained
     // after every single-epoch commit.
-    let poll_ack = query_tcp(&addr.to_string(), &subscribe).expect("poll subscribe");
+    let poll_ack = server.query(&subscribe).expect("poll subscribe");
     let poll_id = dna_io::parse_notify(&poll_ack)
         .expect("ack is a notify")
         .subscription;
@@ -203,7 +197,7 @@ fn watch_connection_streams_push_equal_to_poll() {
         let trace = write_trace(&Trace {
             epochs: vec![ep.clone()],
         });
-        let ack = query_tcp(&addr.to_string(), &trace).expect("epoch over tcp");
+        let ack = server.query(&trace).expect("epoch over the socket");
         assert!(
             matches!(
                 dna_io::parse_response(&ack),
@@ -211,11 +205,9 @@ fn watch_connection_streams_push_equal_to_poll() {
             ),
             "unexpected ingest ack:\n{ack}"
         );
-        let batch = query_tcp(
-            &addr.to_string(),
-            &q(Some("watch"), QueryKind::Notifications { id: poll_id }),
-        )
-        .expect("poll over tcp");
+        let batch = server
+            .query(&q(Some("watch"), QueryKind::Notifications { id: poll_id }))
+            .expect("poll over the socket");
         let n = dna_io::parse_notify(&batch).expect("poll answers with a notify");
         assert!(n.events.len() <= 1, "one commit queues at most one event");
         if !n.events.is_empty() {
@@ -225,16 +217,19 @@ fn watch_connection_streams_push_equal_to_poll() {
 
     // The pushed stream: one artifact per changed commit, in order.
     // (Ids differ between the two subscriptions; the *events* must
-    // not.) A missing push trips the read timeout rather than hanging.
-    let mut pushed: Vec<dna_io::Notify> = Vec::new();
+    // not.)
+    let mut pushed: Vec<String> = Vec::new();
+    let mut pushed_events = Vec::new();
     while pushed.len() < polled.len() {
-        let artifact = read_artifact(&mut watch_reader)
-            .expect("pushed artifact within the timeout")
+        let artifact = watcher
+            .recv()
+            .expect("well-framed push")
             .expect("connection stays open");
         let n = dna_io::parse_notify(&artifact).expect("push is a notify");
         assert_eq!(n.subscription, watch_id);
         assert_eq!(n.events.len(), 1, "pushes carry one event per commit");
-        pushed.push(n);
+        pushed_events.extend(n.events);
+        pushed.push(artifact);
     }
     assert!(
         !polled.is_empty(),
@@ -244,12 +239,12 @@ fn watch_connection_streams_push_equal_to_poll() {
         polled.len() < epochs.len(),
         "workload must also contain suppressed (zero-byte) commits"
     );
-    let pushed_events: Vec<_> = pushed.into_iter().flat_map(|n| n.events).collect();
     let polled_events: Vec<_> = polled.into_iter().flat_map(|n| n.events).collect();
     assert_eq!(
         pushed_events, polled_events,
         "pushed deltas must equal the poll-after-every-epoch stream"
     );
+    pushed
 }
 
 fn workload() -> (net_model::Snapshot, Vec<TraceEpoch>) {
@@ -316,24 +311,23 @@ fn oracle(name: &str, snapshot: &net_model::Snapshot, epochs: &[TraceEpoch]) -> 
 fn eight_tcp_clients_race_a_live_ingest() {
     let (snapshot, epochs) = workload();
     let oracle = oracle("live", &snapshot, &epochs);
-    let (addr, views, _tx) = serve_tcp(vec![("live".into(), snapshot)]);
+    let (server, views) = serve_tcp(vec![("live".into(), snapshot)]);
 
     // The ingesting client: one connection, trace artifacts in
     // CHUNK-epoch slices, reading back each acknowledgement.
     let writer = {
-        let epochs = epochs.clone();
+        let (epochs, server) = (epochs.clone(), server.clone());
         std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).expect("writer connects");
-            let mut reader = BufReader::new(&stream);
+            let mut client = server.connect().expect("writer connects");
             let mut acks = Vec::new();
             for chunk in epochs.chunks(CHUNK) {
                 let trace = write_trace(&Trace {
                     epochs: chunk.to_vec(),
                 });
-                (&stream).write_all(trace.as_bytes()).expect("send trace");
-                (&stream).flush().expect("flush trace");
+                client.send(&trace).expect("send trace");
                 acks.push(
-                    read_artifact(&mut reader)
+                    client
+                        .recv()
                         .expect("well-framed ack")
                         .expect("one ack per trace"),
                 );
@@ -345,25 +339,22 @@ fn eight_tcp_clients_race_a_live_ingest() {
     // fresh reach + blast query per round.
     let racers: Vec<_> = (0..CLIENTS)
         .map(|_| {
+            let server = server.clone();
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
                 for _ in 0..ROUNDS {
-                    let reach = query_tcp(
-                        &addr.to_string(),
-                        &q(
+                    let reach = server
+                        .query(&q(
                             Some("live"),
                             QueryKind::ReachPair {
                                 src: "edge0_0".into(),
                                 dst: "edge1_1".into(),
                             },
-                        ),
-                    )
-                    .expect("reach over tcp");
-                    let blast = query_tcp(
-                        &addr.to_string(),
-                        &q(Some("live"), QueryKind::Blast { last: EPOCHS }),
-                    )
-                    .expect("blast over tcp");
+                        ))
+                        .expect("reach over tcp");
+                    let blast = server
+                        .query(&q(Some("live"), QueryKind::Blast { last: EPOCHS }))
+                        .expect("blast over tcp");
                     seen.push((reach, blast));
                 }
                 seen
@@ -395,23 +386,19 @@ fn eight_tcp_clients_race_a_live_ingest() {
     // After the writer's last ack the final view is already published
     // (views publish before the acknowledgement is sent), so a fresh
     // query must see exactly the all-epochs state.
-    let final_reach = query_tcp(
-        &addr.to_string(),
-        &q(
+    let final_reach = server
+        .query(&q(
             Some("live"),
             QueryKind::ReachPair {
                 src: "edge0_0".into(),
                 dst: "edge1_1".into(),
             },
-        ),
-    )
-    .expect("final reach");
+        ))
+        .expect("final reach");
     assert_eq!(&final_reach, oracle.reach.last().unwrap());
-    let final_blast = query_tcp(
-        &addr.to_string(),
-        &q(Some("live"), QueryKind::Blast { last: EPOCHS }),
-    )
-    .expect("final blast");
+    let final_blast = server
+        .query(&q(Some("live"), QueryKind::Blast { last: EPOCHS }))
+        .expect("final blast");
     assert_eq!(&final_blast, oracle.blast.last().unwrap());
     // Every raced query (plus the two closing ones) was answered from a
     // published view — the engine thread saw only the trace artifacts.
@@ -420,4 +407,80 @@ fn eight_tcp_clients_race_a_live_ingest() {
         raced + 2,
         "the snapshot read path must have served every query"
     );
+}
+
+/// The robustness pin of the artifact cap: a client streaming an
+/// artifact that never ends is answered with one `error` naming the
+/// limit and hung up on — over TCP and over a unix socket — while a
+/// second client's answers stay byte-identical throughout and `health`
+/// stays `ok`.
+#[test]
+fn endless_artifact_is_refused_and_only_the_offender_is_hung_up_on() {
+    let snapshot = dna_io::parse_snapshot(include_str!("corpus/ft4_failures.snap.dna"))
+        .expect("corpus snapshot parses");
+    let mut doors = vec![("cap-tcp", Endpoint::Tcp("127.0.0.1:0".into()))];
+    #[cfg(unix)]
+    let path = std::env::temp_dir().join(format!("dna-cap-{}.sock", std::process::id()));
+    #[cfg(unix)]
+    doors.push(("cap-unix", Endpoint::Unix(path.clone())));
+    for (session, door) in doors {
+        let (server, _views) = serve_on(door, vec![(session.into(), snapshot.clone())]);
+        let probe = q(
+            Some(session),
+            QueryKind::ReachPair {
+                src: "edge0_0".into(),
+                dst: "edge1_1".into(),
+            },
+        );
+        let answer = server.query(&probe).expect("probe before");
+        assert!(
+            answer.contains("ok reach"),
+            "unexpected probe answer:\n{answer}"
+        );
+        let bystander = || {
+            assert_eq!(server.query(&probe).expect("probe"), answer, "{server}");
+            let health = server.query(&q(None, QueryKind::Health)).expect("health");
+            let health = dna_io::parse_health(&health).expect("health parses");
+            assert_eq!(health.server, dna_io::HealthStatus::Ok, "{server}");
+        };
+
+        // The offender: a trace header, then comment lines forever —
+        // or until the server hangs up, whichever comes first.
+        let offender = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                let mut client = server.connect().expect("offender connects");
+                client.send("dna-io v1 trace\n").expect("header");
+                let filler = format!("; {}\n", "x".repeat(1021)).repeat(1024);
+                let mut sent = 0;
+                while sent <= 2 * dna_serve::MAX_ARTIFACT_BYTES && client.send(&filler).is_ok() {
+                    sent += filler.len();
+                }
+                (sent, client.recv(), client.recv())
+            })
+        };
+        while !offender.is_finished() {
+            bystander();
+        }
+        let (sent, reply, after) = offender.join().expect("offender thread");
+        assert!(
+            sent <= 2 * dna_serve::MAX_ARTIFACT_BYTES,
+            "{server}: the server kept reading past the cap"
+        );
+        let reply = reply.expect("the refusal is readable").expect("one reply");
+        match dna_io::parse_response(&reply).expect("refusal parses") {
+            Response::Error(msg) => assert!(
+                msg.contains(&dna_serve::MAX_ARTIFACT_BYTES.to_string()),
+                "{server}: the refusal must name the limit: {msg}"
+            ),
+            other => panic!("{server}: expected an error, got {other:?}"),
+        }
+        assert!(
+            !matches!(after, Ok(Some(_))),
+            "{server}: the offender must be hung up on"
+        );
+        bystander();
+    }
+    #[cfg(unix)]
+    let _ = std::fs::remove_file(path);
 }
