@@ -292,6 +292,18 @@ impl<'a> Args<'a> {
             Some(v) => v.parse().map_err(|_| format!("bad --{name} value {v:?}")),
         }
     }
+
+    /// A count flag that must be at least 1 (`--shards`, `--retain`, ...).
+    fn positive<T>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialEq + Default,
+    {
+        let n = self.parsed(name, default)?;
+        if n == T::default() {
+            return Err(format!("--{name} must be at least 1"));
+        }
+        Ok(n)
+    }
 }
 
 /// Prints a line to stdout, reporting whether the write succeeded.
@@ -434,9 +446,8 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
     let text = read_file(path)?;
     // `check` validates snapshots and checkpoints alike: a checkpoint
     // is checked through the snapshot it would resume (inline or ref).
-    let (snapshot, ok_line) = match dna_io::sniff(&text).map_err(|e| format!("{path}: {e}"))? {
-        (_, dna_io::Artifact::Checkpoint) => {
-            let ckpt = dna_io::parse_checkpoint(&text).map_err(|e| format!("{path}: {e}"))?;
+    let (snapshot, ok_line) = match dna_io::parse_checkpoint(&text) {
+        Ok(ckpt) => {
             let snapshot = checkpoint_snapshot(path, &ckpt)?;
             let ok = format!(
                 "{path}: ok (checkpoint of session {:?}: {} epochs applied, {} retained, {} devices)",
@@ -447,7 +458,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
             );
             (snapshot, ok)
         }
-        _ => {
+        Err(dna_io::IoError::WrongArtifact { .. }) => {
             let snapshot = parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
             let ok = format!(
                 "{path}: ok ({} devices, {} links, {} down, {} external routes)",
@@ -458,6 +469,7 @@ fn cmd_check(rest: &[String]) -> Result<ExitCode, String> {
             );
             (snapshot, ok)
         }
+        Err(e) => return Err(format!("{path}: {e}")),
     };
     let problems = snapshot.validate();
     if problems.is_empty() {
@@ -502,10 +514,7 @@ fn cmd_diff(rest: &[String]) -> Result<ExitCode, String> {
         other => return Err(format!("--format must be text|json-lines, got {other:?}")),
     };
     let limit: usize = args.parsed("limit", 10)?;
-    let shards: usize = args.parsed("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let shards: usize = args.positive("shards", 1)?;
     let mut session = ReplaySession::with_shards(snapshot, mode, shards)
         .map_err(|e| format!("initial analysis: {e}"))?;
     let mut report = Report::default();
@@ -700,26 +709,12 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     if args.positionals.is_empty() && !resume {
         return Err("serve needs at least one [name=]<snap-file> (or --resume)".into());
     }
-    let retain: usize = args.parsed("retain", 64)?;
-    if retain == 0 {
-        return Err("--retain must be at least 1".into());
-    }
-    let retain_bytes: Option<usize> = match args.flag("retain-bytes") {
-        None => None,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("bad --retain-bytes value {v:?}"))?;
-            if n == 0 {
-                return Err("--retain-bytes must be at least 1".into());
-            }
-            Some(n)
-        }
-    };
-    let shards: usize = args.parsed("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let retain: usize = args.positive("retain", 64)?;
+    let retain_bytes: Option<usize> = args
+        .has("retain-bytes")
+        .then(|| args.positive("retain-bytes", 1))
+        .transpose()?;
+    let shards: usize = args.positive("shards", 1)?;
     let quiet = args.has("quiet");
     // All operator-facing stderr below routes through dna_obs::log:
     // `info` lines honor --quiet, `announce` lines always print.
@@ -1115,61 +1110,29 @@ struct Render {
     rates: bool,
 }
 
-/// Prints a server's response and maps it to the exit code contract:
-/// 0 for an answer, 2 for a protocol-level `error` response. Telemetry
-/// queries come back as their own artifact kinds (`metrics`, `spans`,
-/// `history`, `health`) rather than a `response`; all are validated
-/// before printing, and `--prometheus` / `--rates` re-render
+/// Prints a server's reply and maps it to the exit code contract: 0 for
+/// an answer, 2 for a protocol-level `error` response. Telemetry and
+/// subscription queries come back as their own artifact kinds
+/// (`metrics`, `spans`, `history`, `health`, `notify`) rather than a
+/// `response`; whatever the kind, the reply is validated before
+/// anything is printed, and `--prometheus` / `--rates` re-render
 /// client-side (the wire always carries the canonical artifact).
 fn print_response(origin: &Endpoint, response: &str, render: Render) -> Result<ExitCode, String> {
-    match dna_io::sniff(response) {
-        Ok((_, dna_io::Artifact::Metrics)) => {
-            let report = dna_io::parse_metrics(response)
-                .map_err(|e| format!("malformed metrics from {origin}: {e}"))?;
-            if render.prometheus {
-                print!("{}", prometheus_text(&report));
-            } else {
-                print!("{response}");
-            }
-            return Ok(ExitCode::SUCCESS);
+    let malformed = |e| format!("malformed reply from {origin}: {e}");
+    match dna_io::validate(response).map_err(malformed)? {
+        dna_io::Artifact::Metrics if render.prometheus => {
+            let report = dna_io::parse_metrics(response).map_err(malformed)?;
+            print!("{}", prometheus_text(&report));
         }
-        Ok((_, dna_io::Artifact::Spans)) => {
-            dna_io::parse_spans(response)
-                .map_err(|e| format!("malformed spans from {origin}: {e}"))?;
-            print!("{response}");
-            return Ok(ExitCode::SUCCESS);
+        dna_io::Artifact::History if render.rates => {
+            let report = dna_io::parse_history(response).map_err(malformed)?;
+            print!("{}", rates_text(&report));
         }
-        Ok((_, dna_io::Artifact::History)) => {
-            let report = dna_io::parse_history(response)
-                .map_err(|e| format!("malformed history from {origin}: {e}"))?;
-            if render.rates {
-                print!("{}", rates_text(&report));
-            } else {
-                print!("{response}");
-            }
-            return Ok(ExitCode::SUCCESS);
-        }
-        Ok((_, dna_io::Artifact::Health)) => {
-            dna_io::parse_health(response)
-                .map_err(|e| format!("malformed health from {origin}: {e}"))?;
-            print!("{response}");
-            return Ok(ExitCode::SUCCESS);
-        }
-        // Subscription commands answer with `notify` artifacts: the
-        // subscribe/unsubscribe ack, or a `notifications` poll batch.
-        Ok((_, dna_io::Artifact::Notify)) => {
-            dna_io::parse_notify(response)
-                .map_err(|e| format!("malformed notify from {origin}: {e}"))?;
-            print!("{response}");
-            return Ok(ExitCode::SUCCESS);
-        }
-        _ => {}
+        _ => print!("{response}"),
     }
-    print!("{response}");
     match dna_io::parse_response(response) {
         Ok(Response::Error(_)) => Ok(ExitCode::from(2)),
-        Ok(_) => Ok(ExitCode::SUCCESS),
-        Err(e) => Err(format!("malformed response from {origin}: {e}")),
+        _ => Ok(ExitCode::SUCCESS),
     }
 }
 
@@ -1316,14 +1279,14 @@ fn cmd_top(rest: &[String]) -> Result<ExitCode, String> {
         let response = server
             .query(&query)
             .map_err(|e| format!("cannot query {server}: {e}"))?;
-        let report = match dna_io::sniff(&response) {
-            Ok((_, dna_io::Artifact::History)) => dna_io::parse_history(&response)
-                .map_err(|e| format!("malformed history from server: {e}"))?,
-            // Anything else is the server's error story — surface it.
-            _ => match dna_io::parse_response(&response) {
+        let report = match dna_io::parse_history(&response) {
+            Ok(report) => report,
+            // Any other kind is the server's error story — surface it.
+            Err(dna_io::IoError::WrongArtifact { .. }) => match dna_io::parse_response(&response) {
                 Ok(Response::Error(e)) => return Err(format!("server: {e}")),
                 _ => return Err("server sent neither history nor an error response".into()),
             },
+            Err(e) => return Err(format!("malformed history from server: {e}")),
         };
         let table = top_table(&report);
         if watch == 0 {
@@ -1484,10 +1447,7 @@ fn checkpoint_write(rest: &[String]) -> Result<ExitCode, String> {
         .flag("out")
         .ok_or("checkpoint write needs --out <ckpt-file>")?;
     let snapshot = load_snapshot(snap_path)?;
-    let retain: u64 = args.parsed("retain", 64)?;
-    if retain == 0 {
-        return Err("--retain must be at least 1".into());
-    }
+    let retain: u64 = args.positive("retain", 64)?;
     let session = match args.flag("session") {
         Some(s) => s.to_string(),
         None => split_session_arg(snap_path).0,
@@ -1535,10 +1495,7 @@ fn checkpoint_resume(rest: &[String]) -> Result<ExitCode, String> {
     let [ckpt_path] = args.positionals.as_slice() else {
         return Err("checkpoint resume needs exactly one <ckpt-file>".into());
     };
-    let shards: usize = args.parsed("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let shards: usize = args.positive("shards", 1)?;
     let quiet = args.has("quiet");
     let text = read_file(ckpt_path)?;
     let ckpt = dna_io::parse_checkpoint(&text).map_err(|e| format!("{ckpt_path}: {e}"))?;
@@ -1615,10 +1572,7 @@ fn cmd_replay(rest: &[String]) -> Result<ExitCode, String> {
         return Err("replay currently requires --verify (for plain replay, use `dna diff`)".into());
     }
     let quiet = args.has("quiet");
-    let shards: usize = args.parsed("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let shards: usize = args.positive("shards", 1)?;
     let snapshot = load_snapshot(snap_path)?;
     let trace = load_trace(trace_path)?;
     let mut session = ReplaySession::with_shards(snapshot, ReplayMode::Both, shards)

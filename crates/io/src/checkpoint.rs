@@ -16,11 +16,11 @@
 //! Same envelope, round-trip and never-panic guarantees as every other
 //! artifact; see `crates/io/FORMAT.md` for the grammar.
 
-use crate::codec::{parse_header, W};
+use crate::codec::{fmt_opt, kvs, on_off, parse_header, W};
 use crate::error::{perr, IoError};
-use crate::lex::{lex_line, quote, Cursor};
+use crate::lex::quote;
 use crate::report::{write_epoch, EpochDiff, EpochsParser, IndexRule};
-use crate::snapshot::{parse_snapshot, write_snapshot};
+use crate::snapshot::{parse_snapshot_body, write_snapshot_body};
 use crate::Artifact;
 use net_model::Snapshot;
 
@@ -161,50 +161,44 @@ impl Checkpoint {
 
 // ---- write ------------------------------------------------------------
 
+/// The flat `<name> <u64>` run of the `applied` line.
+const APPLIED_FIELDS: [&str; 2] = ["epochs", "mismatches"];
+
+/// The flat `<name> <u64>` run of the `totals` line, in
+/// [`CheckpointTotals`] field order.
+const TOTALS_FIELDS: [&str; 7] = [
+    "changes", "rib", "fib", "flows", "cp-ns", "dp-ns", "total-ns",
+];
+
 /// Serializes a checkpoint in canonical form.
 pub fn write_checkpoint(ck: &Checkpoint) -> String {
     let mut w = W::new(Artifact::Checkpoint);
     w.line(0, &format!("session {}", quote(&ck.session)));
-    let rb = match ck.config.retain_bytes {
-        None => "-".to_string(),
-        Some(b) => b.to_string(),
-    };
     w.line(
         0,
         &format!(
-            "config retain {} retain-bytes {rb} verify {} shards {}",
+            "config retain {} retain-bytes {} verify {} shards {}",
             ck.config.retain,
-            if ck.config.verify { "on" } else { "off" },
+            fmt_opt(ck.config.retain_bytes),
+            on_off(ck.config.verify),
             ck.config.shards
         ),
     );
-    w.line(
-        0,
-        &format!("applied epochs {} mismatches {}", ck.epochs, ck.mismatches),
-    );
+    let applied = kvs(&APPLIED_FIELDS, [ck.epochs, ck.mismatches]);
+    w.line(0, &format!("applied {applied}"));
     let t = &ck.totals;
-    w.line(
-        0,
-        &format!(
-            "totals changes {} rib {} fib {} flows {} cp-ns {} dp-ns {} total-ns {}",
-            t.changes, t.rib, t.fib, t.flows, t.cp_ns, t.dp_ns, t.total_ns
-        ),
-    );
+    let totals = [
+        t.changes, t.rib, t.fib, t.flows, t.cp_ns, t.dp_ns, t.total_ns,
+    ];
+    w.line(0, &format!("totals {}", kvs(&TOTALS_FIELDS, totals)));
     match &ck.source {
         CheckpointSource::Ref(path) => w.line(0, &format!("snapshot ref {}", quote(path))),
         CheckpointSource::Inline(snap) => {
+            // Embed the snapshot's canonical body verbatim. No snapshot
+            // body line is a bare `end`, so stream framing stays
+            // unambiguous.
             w.line(0, "snapshot inline");
-            // Embed the snapshot's canonical body verbatim (its header
-            // and `end` sentinel stripped). No snapshot body line is a
-            // bare `end`, so stream framing stays unambiguous.
-            let text = write_snapshot(snap);
-            let mut lines = text.lines();
-            let _header = lines.next();
-            let mut lines: Vec<&str> = lines.collect();
-            let _end = lines.pop();
-            for l in lines {
-                w.raw_line(l);
-            }
+            write_snapshot_body(&mut w, snap);
             w.line(0, "end-snapshot");
         }
     }
@@ -218,220 +212,90 @@ pub fn write_checkpoint(ck: &Checkpoint) -> String {
 
 // ---- parse ------------------------------------------------------------
 
-enum Mode {
-    Meta,
-    Snapshot,
-    History(Box<EpochsParser>),
-    Done,
-}
-
 /// Parses a checkpoint artifact (requires the `end` sentinel). Every
 /// metadata line must appear exactly once; history indices must be
 /// strictly increasing and below the applied-epoch count.
 pub fn parse_checkpoint(text: &str) -> Result<Checkpoint, IoError> {
-    // Validate the header through the shared codec path (version and
-    // kind checks), then walk the raw lines ourselves: the inline
-    // snapshot block must be captured verbatim for its own parser.
-    let _ = parse_header(text, Artifact::Checkpoint)?;
-    let mut mode = Mode::Meta;
-    let mut header_seen = false;
+    let mut lines = parse_header(text, Artifact::Checkpoint)?;
     let mut session: Option<String> = None;
     let mut config: Option<CheckpointConfig> = None;
-    let mut applied: Option<(u64, u64)> = None;
+    let mut applied: Option<[u64; 2]> = None;
     let mut totals: Option<CheckpointTotals> = None;
     let mut source: Option<CheckpointSource> = None;
     let mut history: Option<Vec<(usize, EpochDiff)>> = None;
-    // Inline snapshot block: raw text plus the file line its first line
-    // sits on, for error remapping.
-    let mut snap_buf = String::new();
-    let mut snap_start = 0usize;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let trimmed = raw.trim();
-        let meaningful = !(trimmed.is_empty() || trimmed.starts_with(';'));
-        if !header_seen {
-            if meaningful {
-                header_seen = true; // the validated header line
-            }
-            continue;
+    // Where the history bound can be violated: the `applied` line or the
+    // last history `epoch` line, whichever comes later.
+    let mut bound_line = 0;
+    lines.body("checkpoint", "end", |kw, c, lines| match kw {
+        "session" => set_once(&mut session, c.string("session name")?, c.line, kw),
+        "config" => {
+            let retain = c.kv("retain", "retention bound")?;
+            let retain_bytes = c.kv_opt("retain-bytes", "byte budget", |w| w.parse().ok())?;
+            c.expect("verify")?;
+            let value = CheckpointConfig {
+                retain,
+                retain_bytes,
+                verify: c.on_off()?,
+                shards: c.kv("shards", "shard count")?,
+            };
+            set_once(&mut config, value, c.line, kw)
         }
-        match &mut mode {
-            Mode::Snapshot => {
-                if trimmed == "end-snapshot" {
-                    let body = std::mem::take(&mut snap_buf);
-                    let snap = parse_embedded_snapshot(&body, snap_start)?;
-                    source = Some(CheckpointSource::Inline(snap));
-                    mode = Mode::Meta;
-                } else {
-                    if snap_buf.is_empty() {
-                        snap_start = line_no;
-                    }
-                    snap_buf.push_str(raw);
-                    snap_buf.push('\n');
-                }
-            }
-            Mode::History(epochs) => {
-                if !meaningful {
-                    continue;
-                }
-                if trimmed == "end-history" {
-                    let Mode::History(epochs) = std::mem::replace(&mut mode, Mode::Meta) else {
-                        unreachable!("mode matched above");
-                    };
-                    history = Some(epochs.finish()?);
-                } else {
-                    let mut c = Cursor::new(lex_line(trimmed, line_no)?, line_no);
-                    let kw = c.word("keyword")?;
-                    if !epochs.try_line(&kw, &mut c)? {
-                        return Err(perr(
-                            line_no,
-                            format!("unknown checkpoint history keyword {kw:?}"),
-                        ));
-                    }
+        "applied" => {
+            bound_line = c.line.max(bound_line);
+            set_once(&mut applied, c.kvs(&APPLIED_FIELDS)?, c.line, kw)
+        }
+        "totals" => {
+            let [changes, rib, fib, flows, cp_ns, dp_ns, total_ns] = c.kvs(&TOTALS_FIELDS)?;
+            let value = CheckpointTotals {
+                changes,
+                rib,
+                fib,
+                flows,
+                cp_ns,
+                dp_ns,
+                total_ns,
+            };
+            set_once(&mut totals, value, c.line, kw)
+        }
+        "snapshot" => {
+            vacant(&source, c.line, kw)?;
+            let value = match c.word("ref|inline")?.as_str() {
+                "ref" => CheckpointSource::Ref(c.string("snapshot path")?),
+                "inline" => {
                     c.finish()?;
+                    let snap = parse_snapshot_body(lines, "inline snapshot", "end-snapshot")?;
+                    CheckpointSource::Inline(snap)
                 }
-            }
-            Mode::Done => {
-                if meaningful {
-                    return Err(perr(line_no, "content after end sentinel"));
+                other => {
+                    return Err(perr(
+                        c.line,
+                        format!("expected ref|inline, found {other:?}"),
+                    ))
                 }
-            }
-            Mode::Meta => {
-                if !meaningful {
-                    continue;
+            };
+            set_once(&mut source, value, c.line, kw)
+        }
+        "history" => {
+            vacant(&history, c.line, kw)?;
+            c.finish()?;
+            let mut epochs = EpochsParser::new(IndexRule::StrictlyIncreasing);
+            lines.body("history section", "end-history", |kw, c, _| {
+                if kw == "epoch" {
+                    bound_line = c.line.max(bound_line);
                 }
-                let mut c = Cursor::new(lex_line(trimmed, line_no)?, line_no);
-                let kw = c.word("keyword")?;
-                match kw.as_str() {
-                    "end" => {
-                        c.finish()?;
-                        mode = Mode::Done;
-                    }
-                    "session" => {
-                        set_once(&mut session, c.string("session name")?, line_no, "session")?;
-                        c.finish()?;
-                    }
-                    "config" => {
-                        c.expect("retain")?;
-                        let retain = c.parse("retention bound")?;
-                        c.expect("retain-bytes")?;
-                        let rb = c.word("byte budget")?;
-                        let retain_bytes =
-                            if rb == "-" {
-                                None
-                            } else {
-                                Some(rb.parse().map_err(|_| {
-                                    perr(line_no, format!("bad byte budget {rb:?}"))
-                                })?)
-                            };
-                        c.expect("verify")?;
-                        let verify = parse_on_off(&mut c)?;
-                        c.expect("shards")?;
-                        let shards = c.parse("shard count")?;
-                        c.finish()?;
-                        set_once(
-                            &mut config,
-                            CheckpointConfig {
-                                retain,
-                                retain_bytes,
-                                verify,
-                                shards,
-                            },
-                            line_no,
-                            "config",
-                        )?;
-                    }
-                    "applied" => {
-                        c.expect("epochs")?;
-                        let epochs = c.parse("epoch count")?;
-                        c.expect("mismatches")?;
-                        let mismatches = c.parse("mismatch count")?;
-                        c.finish()?;
-                        set_once(&mut applied, (epochs, mismatches), line_no, "applied")?;
-                    }
-                    "totals" => {
-                        let mut t = CheckpointTotals::default();
-                        c.expect("changes")?;
-                        t.changes = c.parse("change count")?;
-                        c.expect("rib")?;
-                        t.rib = c.parse("rib count")?;
-                        c.expect("fib")?;
-                        t.fib = c.parse("fib count")?;
-                        c.expect("flows")?;
-                        t.flows = c.parse("flow count")?;
-                        c.expect("cp-ns")?;
-                        t.cp_ns = c.parse("cp nanoseconds")?;
-                        c.expect("dp-ns")?;
-                        t.dp_ns = c.parse("dp nanoseconds")?;
-                        c.expect("total-ns")?;
-                        t.total_ns = c.parse("total nanoseconds")?;
-                        c.finish()?;
-                        set_once(&mut totals, t, line_no, "totals")?;
-                    }
-                    "snapshot" => {
-                        if source.is_some() {
-                            return Err(perr(line_no, "duplicate snapshot section"));
-                        }
-                        let how = c.word("ref|inline")?;
-                        match how.as_str() {
-                            "ref" => {
-                                source = Some(CheckpointSource::Ref(c.string("snapshot path")?));
-                                c.finish()?;
-                            }
-                            "inline" => {
-                                c.finish()?;
-                                snap_buf.clear();
-                                mode = Mode::Snapshot;
-                            }
-                            other => {
-                                return Err(perr(
-                                    line_no,
-                                    format!("expected ref|inline, found {other:?}"),
-                                ))
-                            }
-                        }
-                    }
-                    "history" => {
-                        if history.is_some() {
-                            return Err(perr(line_no, "duplicate history section"));
-                        }
-                        c.finish()?;
-                        mode = Mode::History(Box::new(EpochsParser::new(
-                            IndexRule::StrictlyIncreasing,
-                        )));
-                    }
-                    other => {
-                        return Err(perr(
-                            line_no,
-                            format!("unknown checkpoint keyword {other:?}"),
-                        ))
-                    }
-                }
-            }
+                epochs.line(kw, c)
+            })?;
+            set_once(&mut history, epochs.finish()?, c.line, kw)
         }
-    }
-    match mode {
-        Mode::Done => {}
-        Mode::Snapshot => {
-            return Err(IoError::Truncated {
-                expected: "end-snapshot terminator of the inline snapshot".into(),
-            })
-        }
-        Mode::History(_) => {
-            return Err(IoError::Truncated {
-                expected: "end-history terminator of the history section".into(),
-            })
-        }
-        Mode::Meta => {
-            return Err(IoError::Truncated {
-                expected: "end sentinel of the checkpoint artifact".into(),
-            })
-        }
-    }
+        other => Err(perr(
+            c.line,
+            format!("unknown checkpoint keyword {other:?}"),
+        )),
+    })?;
     let missing = |what: &str| IoError::Truncated {
         expected: format!("a {what} line before the end sentinel"),
     };
-    let (epochs, mismatches) = applied.ok_or_else(|| missing("applied"))?;
+    let [epochs, mismatches] = applied.ok_or_else(|| missing("applied"))?;
     let ck = Checkpoint {
         session: session.ok_or_else(|| missing("session"))?,
         config: config.ok_or_else(|| missing("config"))?,
@@ -443,45 +307,30 @@ pub fn parse_checkpoint(text: &str) -> Result<Checkpoint, IoError> {
     };
     if let Some((last, _)) = ck.history.last() {
         if *last as u64 >= ck.epochs {
-            return Err(IoError::Parse {
-                line: 1,
-                message: format!(
+            return Err(perr(
+                bound_line,
+                format!(
                     "history epoch {last} is not below the applied epoch count {}",
                     ck.epochs
                 ),
-            });
+            ));
         }
     }
     Ok(ck)
 }
 
-/// Parses the inline snapshot block by wrapping it back into a
-/// standalone snapshot artifact, remapping parse-error line numbers
-/// from the synthetic document onto the checkpoint file's real lines.
-fn parse_embedded_snapshot(body: &str, first_line: usize) -> Result<Snapshot, IoError> {
-    parse_snapshot(&format!("dna-io v1 snapshot\n{body}end\n")).map_err(|e| match e {
-        IoError::Parse { line, message } if line > 1 => IoError::Parse {
-            line: first_line + (line - 2),
-            message,
-        },
-        other => other,
-    })
+/// Every metadata line and section appears at most once.
+fn vacant<T>(slot: &Option<T>, line: usize, what: &str) -> Result<(), IoError> {
+    match slot {
+        Some(_) => Err(perr(line, format!("duplicate {what} line"))),
+        None => Ok(()),
+    }
 }
 
 fn set_once<T>(slot: &mut Option<T>, value: T, line: usize, what: &str) -> Result<(), IoError> {
-    if slot.is_some() {
-        return Err(perr(line, format!("duplicate {what} line")));
-    }
+    vacant(slot, line, what)?;
     *slot = Some(value);
     Ok(())
-}
-
-fn parse_on_off(c: &mut Cursor) -> Result<bool, IoError> {
-    match c.word("on|off")?.as_str() {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(perr(c.line, format!("expected on|off, found {other:?}"))),
-    }
 }
 
 #[cfg(test)]
@@ -606,25 +455,30 @@ mod tests {
         // History index at/above the applied count.
         let mut ck = sample(CheckpointSource::Ref("s.dna".into()));
         ck.epochs = 8; // history holds epoch 8
-        let err = parse_checkpoint(&write_checkpoint(&ck)).expect_err("index bound");
-        assert!(matches!(err, IoError::Parse { .. }), "{err:?}");
-        // Content after the end sentinel.
-        let ok = write_checkpoint(&sample(CheckpointSource::Ref("s.dna".into())));
-        let after = format!("{ok}history\n");
-        assert!(matches!(
-            parse_checkpoint(&after),
-            Err(IoError::Parse { .. })
-        ));
-        // Wrong artifact kind.
-        assert!(matches!(
-            parse_checkpoint("dna-io v1 trace\nend\n"),
-            Err(IoError::WrongArtifact { .. })
-        ));
-        // Unsupported version.
-        assert!(matches!(
-            parse_checkpoint("dna-io v9 checkpoint\nend\n"),
-            Err(IoError::UnsupportedVersion(9))
-        ));
+
+        // The error points at the offending history `epoch` line — or at
+        // the `applied` line, when that is what comes later.
+        let text = write_checkpoint(&ck);
+        let line_of = |text: &str, prefix: &str| {
+            let at = text.lines().position(|l| l.starts_with(prefix));
+            at.expect("line present") + 1
+        };
+        let err = parse_checkpoint(&text).expect_err("index bound");
+        let want = line_of(&text, "epoch 8");
+        assert!(
+            matches!(err, IoError::Parse { line, .. } if line == want),
+            "{err:?}"
+        );
+        let applied_last = text.replace("applied epochs 8 mismatches 0\n", "").replace(
+            "end-history\n",
+            "end-history\napplied epochs 8 mismatches 0\n",
+        );
+        let err = parse_checkpoint(&applied_last).expect_err("index bound");
+        let want = line_of(&applied_last, "applied");
+        assert!(
+            matches!(err, IoError::Parse { line, .. } if line == want),
+            "{err:?}"
+        );
     }
 
     #[test]

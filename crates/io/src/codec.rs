@@ -1,6 +1,8 @@
-//! Shared sub-grammars: the scalar and composite encodings used by more
-//! than one artifact (ACL entries, route maps, route attributes, FIB
-//! actions, outcomes) plus the artifact header.
+//! Shared sub-grammars: the artifact header, the line writer, the write
+//! side of the keyed row primitives (`kvs`, `fmt_opt`, `fmt_label`,
+//! `on_off` — their read side lives on [`Cursor`]) and the composite
+//! encodings used by more than one artifact (ACL entries, route maps,
+//! route attributes, FIB actions, outcomes).
 
 use crate::error::{perr, IoError};
 use crate::lex::{quote, Cursor, Lines};
@@ -9,8 +11,8 @@ use control_plane::{FibAction, FibEntry, NextDevice, Proto, RibEntry};
 use data_plane::Outcome;
 use net_model::acl::{AclEntry, Action, FlowMatch, PortRange};
 use net_model::route::{RmAction, RmMatch, RmSet, RouteMapClause};
-use net_model::{Endpoint, Ipv4Prefix, Link, RouteAttrs, RouteMap};
-use std::fmt::Write as _;
+use net_model::{Endpoint, Flow, Link, RouteAttrs, RouteMap};
+use std::fmt::{self, Write as _};
 
 /// The base format version (snapshot, trace, report and checkpoint
 /// artifacts). Kinds version independently — see [`artifact_version`]
@@ -60,13 +62,6 @@ impl W {
         w
     }
 
-    /// Appends one raw, already-formatted line (used to embed the body
-    /// of another artifact verbatim, e.g. a snapshot in a checkpoint).
-    pub(crate) fn raw_line(&mut self, text: &str) {
-        self.out.push_str(text);
-        self.out.push('\n');
-    }
-
     pub(crate) fn line(&mut self, depth: usize, text: &str) {
         for _ in 0..depth {
             self.out.push_str("  ");
@@ -82,42 +77,29 @@ impl W {
     }
 }
 
-/// Parses the header line and checks version + artifact kind. Returns the
-/// body line iterator positioned after the header.
-pub(crate) fn parse_header(text: &str, expected: Artifact) -> Result<Lines<'_>, IoError> {
+/// Reads the header line: magic, a version the declared kind is spoken
+/// at, and the kind. Returns the body line iterator positioned after it.
+pub(crate) fn read_header(text: &str) -> Result<(Lines<'_>, Artifact), IoError> {
     let mut lines = Lines::new(text);
     let Some(mut c) = lines.next_cursor()? else {
         return Err(IoError::BadHeader(String::new()));
     };
-    let magic = c
-        .word("magic")
-        .map_err(|_| IoError::BadHeader("missing magic".into()))?;
+    let mut token = |what: &str| {
+        c.word(what)
+            .map_err(|_| IoError::BadHeader(format!("missing {what}")))
+    };
+    let magic = token("magic")?;
     if magic != "dna-io" {
         return Err(IoError::BadHeader(magic));
     }
-    let vtok = c
-        .word("version")
-        .map_err(|_| IoError::BadHeader("missing version".into()))?;
+    let vtok = token("version")?;
     let version: u32 = vtok
         .strip_prefix('v')
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| IoError::BadHeader(format!("bad version token {vtok:?}")))?;
-    let kind = c
-        .word("artifact kind")
-        .map_err(|_| IoError::BadHeader("missing artifact kind".into()))?;
-    let found = match kind.as_str() {
-        "snapshot" => Artifact::Snapshot,
-        "trace" => Artifact::Trace,
-        "report" => Artifact::Report,
-        "query" => Artifact::Query,
-        "response" => Artifact::Response,
-        "checkpoint" => Artifact::Checkpoint,
-        "metrics" => Artifact::Metrics,
-        "spans" => Artifact::Spans,
-        "history" => Artifact::History,
-        "health" => Artifact::Health,
-        "notify" => Artifact::Notify,
-        other => return Err(IoError::BadHeader(format!("unknown artifact {other:?}"))),
+    let kind = token("artifact kind")?;
+    let Some(&found) = crate::ALL_ARTIFACTS.iter().find(|a| a.name() == kind) else {
+        return Err(IoError::BadHeader(format!("unknown artifact {kind:?}")));
     };
     // Versions are per-kind: check against the version of the kind the
     // header *declares*, so a future-versioned artifact reports
@@ -126,6 +108,12 @@ pub(crate) fn parse_header(text: &str, expected: Artifact) -> Result<Lines<'_>, 
         return Err(IoError::UnsupportedVersion(version));
     }
     c.finish()?;
+    Ok((lines, found))
+}
+
+/// Reads the header and requires the `expected` artifact kind.
+pub(crate) fn parse_header(text: &str, expected: Artifact) -> Result<Lines<'_>, IoError> {
+    let (lines, found) = read_header(text)?;
     if found != expected {
         return Err(IoError::WrongArtifact { expected, found });
     }
@@ -134,62 +122,22 @@ pub(crate) fn parse_header(text: &str, expected: Artifact) -> Result<Lines<'_>, 
 
 // ---- scalar encodings -------------------------------------------------
 
-pub(crate) fn fmt_opt_prefix(p: &Option<Ipv4Prefix>) -> String {
-    match p {
-        None => "-".into(),
-        Some(p) => p.to_string(),
-    }
+/// `-` for `None`, the value for `Some` (the write side of
+/// [`Cursor::kv_opt`] and [`Cursor::opt_string`]).
+pub(crate) fn fmt_opt<T: fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "-".into(), |v| v.to_string())
 }
 
-pub(crate) fn parse_opt_prefix(c: &mut Cursor, what: &str) -> Result<Option<Ipv4Prefix>, IoError> {
-    let w = c.word(what)?;
-    if w == "-" {
-        return Ok(None);
-    }
-    w.parse()
-        .map(Some)
-        .map_err(|_| perr(c.line, format!("bad {what}: {w:?}")))
+pub(crate) fn fmt_opt_str(s: &Option<String>) -> String {
+    fmt_opt(s.as_deref().map(quote))
 }
 
-pub(crate) fn fmt_opt_u8(v: &Option<u8>) -> String {
-    match v {
-        None => "-".into(),
-        Some(v) => v.to_string(),
-    }
-}
-
-pub(crate) fn parse_opt_u8(c: &mut Cursor, what: &str) -> Result<Option<u8>, IoError> {
-    let w = c.word(what)?;
-    if w == "-" {
-        return Ok(None);
-    }
-    w.parse()
-        .map(Some)
-        .map_err(|_| perr(c.line, format!("bad {what}: {w:?}")))
-}
-
-pub(crate) fn fmt_opt_ports(r: &Option<PortRange>) -> String {
-    match r {
-        None => "-".into(),
-        Some(r) => format!("{}-{}", r.lo, r.hi),
-    }
-}
-
-pub(crate) fn parse_opt_ports(c: &mut Cursor, what: &str) -> Result<Option<PortRange>, IoError> {
-    let w = c.word(what)?;
-    if w == "-" {
-        return Ok(None);
-    }
-    let (lo, hi) = w
-        .split_once('-')
-        .ok_or_else(|| perr(c.line, format!("bad {what}: {w:?}")))?;
-    let lo = lo
-        .parse()
-        .map_err(|_| perr(c.line, format!("bad {what} low bound: {w:?}")))?;
-    let hi = hi
-        .parse()
-        .map_err(|_| perr(c.line, format!("bad {what} high bound: {w:?}")))?;
-    Ok(Some(PortRange { lo, hi }))
+fn parse_ports(w: &str) -> Option<PortRange> {
+    let (lo, hi) = w.split_once('-')?;
+    Some(PortRange {
+        lo: lo.parse().ok()?,
+        hi: hi.parse().ok()?,
+    })
 }
 
 pub(crate) fn fmt_u32_list(vs: &[u32]) -> String {
@@ -203,14 +151,62 @@ pub(crate) fn fmt_u32_list(vs: &[u32]) -> String {
     }
 }
 
-pub(crate) fn fmt_opt_str(s: &Option<String>) -> String {
-    match s {
-        None => "-".into(),
-        Some(s) => quote(s),
+/// `on` | `off` (the write side of [`Cursor::on_off`]).
+pub(crate) fn on_off(b: bool) -> &'static str {
+    if b {
+        "on"
+    } else {
+        "off"
     }
 }
 
-// ---- links ------------------------------------------------------------
+/// The trailing ` label "text"` marker of an epoch or span row: written
+/// only when the label is set (read back by [`Cursor::trailing`]).
+pub(crate) fn fmt_label(label: &Option<String>) -> String {
+    label
+        .as_deref()
+        .map_or_else(String::new, |l| format!(" label {}", quote(l)))
+}
+
+/// A flat run of `<name> <u64>` pairs, space-separated, in the order of
+/// the row's name table; [`Cursor::kvs`] reads the run back through the
+/// same table, so a row's field names are stated once.
+pub(crate) fn kvs<const N: usize>(
+    names: &'static [&str; N],
+    values: [u64; N],
+) -> impl fmt::Display {
+    struct Run<const N: usize>(&'static [&'static str; N], [u64; N]);
+    impl<const N: usize> fmt::Display for Run<N> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            for (i, (name, v)) in self.0.iter().zip(self.1).enumerate() {
+                let sep = if i == 0 { "" } else { " " };
+                write!(f, "{sep}{name} {v}")?;
+            }
+            Ok(())
+        }
+    }
+    Run(names, values)
+}
+
+// ---- flows and links --------------------------------------------------
+
+/// Formats a concrete flow's five tokens (shared by the `reach` query
+/// family and the report grammar's `flow … example` line).
+pub(crate) fn fmt_flow(f: &Flow) -> String {
+    let (proto, sport, dport) = (f.proto, f.src_port, f.dst_port);
+    format!("{} {} {proto} {sport} {dport}", f.src, f.dst)
+}
+
+/// Parses a concrete flow's five tokens.
+pub(crate) fn parse_flow(c: &mut Cursor) -> Result<Flow, IoError> {
+    Ok(Flow {
+        src: c.ip("flow source address")?,
+        dst: c.ip("flow destination address")?,
+        proto: c.parse("flow protocol")?,
+        src_port: c.parse("flow source port")?,
+        dst_port: c.parse("flow destination port")?,
+    })
+}
 
 /// Formats a link's four endpoint tokens (shared by the snapshot and
 /// trace artifacts).
@@ -240,53 +236,30 @@ pub(crate) fn fmt_acl_entry(e: &AclEntry) -> String {
         Action::Permit => "permit",
         Action::Deny => "deny",
     };
+    let ports = |r: Option<PortRange>| fmt_opt(r.map(|r| format!("{}-{}", r.lo, r.hi)));
     format!(
         "{} {action} src {} dst {} proto {} sport {} dport {}",
         e.seq,
-        fmt_opt_prefix(&e.matches.src),
-        fmt_opt_prefix(&e.matches.dst),
-        fmt_opt_u8(&e.matches.proto),
-        fmt_opt_ports(&e.matches.src_ports),
-        fmt_opt_ports(&e.matches.dst_ports),
+        fmt_opt(e.matches.src),
+        fmt_opt(e.matches.dst),
+        fmt_opt(e.matches.proto),
+        ports(e.matches.src_ports),
+        ports(e.matches.dst_ports),
     )
 }
 
 pub(crate) fn parse_acl_entry(c: &mut Cursor) -> Result<AclEntry, IoError> {
-    let seq = c.parse("entry seq")?;
-    let action = parse_action(c)?;
-    c.expect("src")?;
-    let src = parse_opt_prefix(c, "src prefix")?;
-    c.expect("dst")?;
-    let dst = parse_opt_prefix(c, "dst prefix")?;
-    c.expect("proto")?;
-    let proto = parse_opt_u8(c, "protocol")?;
-    c.expect("sport")?;
-    let src_ports = parse_opt_ports(c, "source port range")?;
-    c.expect("dport")?;
-    let dst_ports = parse_opt_ports(c, "destination port range")?;
     Ok(AclEntry {
-        seq,
-        action,
+        seq: c.parse("entry seq")?,
+        action: c.choice(&[("permit", Action::Permit), ("deny", Action::Deny)])?,
         matches: FlowMatch {
-            src,
-            dst,
-            proto,
-            src_ports,
-            dst_ports,
+            src: c.kv_opt("src", "src prefix", |w| w.parse().ok())?,
+            dst: c.kv_opt("dst", "dst prefix", |w| w.parse().ok())?,
+            proto: c.kv_opt("proto", "protocol", |w| w.parse().ok())?,
+            src_ports: c.kv_opt("sport", "source port range", parse_ports)?,
+            dst_ports: c.kv_opt("dport", "destination port range", parse_ports)?,
         },
     })
-}
-
-fn parse_action(c: &mut Cursor) -> Result<Action, IoError> {
-    let w = c.word("permit|deny")?;
-    match w.as_str() {
-        "permit" => Ok(Action::Permit),
-        "deny" => Ok(Action::Deny),
-        other => Err(perr(
-            c.line,
-            format!("expected permit|deny, found {other:?}"),
-        )),
-    }
 }
 
 // ---- route attributes -------------------------------------------------
@@ -306,12 +279,9 @@ pub(crate) fn fmt_route_attrs(a: &RouteAttrs) -> String {
 
 pub(crate) fn parse_route_attrs(c: &mut Cursor) -> Result<RouteAttrs, IoError> {
     let prefix = c.prefix("route prefix")?;
-    c.expect("lp")?;
-    let local_pref = c.parse("local preference")?;
-    c.expect("med")?;
-    let med = c.parse("MED")?;
-    c.expect("origin")?;
-    let origin = c.parse("origin code")?;
+    let local_pref = c.kv("lp", "local preference")?;
+    let med = c.kv("med", "MED")?;
+    let origin = c.kv("origin", "origin code")?;
     c.expect("path")?;
     let as_path = c.u32_list("AS path")?;
     c.expect("comm")?;
@@ -379,17 +349,7 @@ impl RouteMapBuilder {
     pub(crate) fn try_line(&mut self, kw: &str, c: &mut Cursor) -> Result<bool, IoError> {
         if kw == "clause" {
             let seq = c.parse("clause seq")?;
-            let w = c.word("permit|deny")?;
-            let action = match w.as_str() {
-                "permit" => RmAction::Permit,
-                "deny" => RmAction::Deny,
-                other => {
-                    return Err(perr(
-                        c.line,
-                        format!("expected permit|deny, found {other:?}"),
-                    ))
-                }
-            };
+            let action = c.choice(&[("permit", RmAction::Permit), ("deny", RmAction::Deny)])?;
             if let Some(done) = self.cur.take() {
                 self.clauses.push(done);
             }
@@ -532,15 +492,13 @@ pub(crate) fn fmt_proto(p: Proto) -> &'static str {
 }
 
 pub(crate) fn parse_proto(c: &mut Cursor) -> Result<Proto, IoError> {
-    let w = c.word("protocol")?;
-    match w.as_str() {
-        "connected" => Ok(Proto::Connected),
-        "static" => Ok(Proto::Static),
-        "ebgp" => Ok(Proto::BgpExternal),
-        "ospf" => Ok(Proto::Ospf),
-        "ibgp" => Ok(Proto::BgpInternal),
-        other => Err(perr(c.line, format!("unknown protocol {other:?}"))),
-    }
+    c.choice(&[
+        ("connected", Proto::Connected),
+        ("static", Proto::Static),
+        ("ebgp", Proto::BgpExternal),
+        ("ospf", Proto::Ospf),
+        ("ibgp", Proto::BgpInternal),
+    ])
 }
 
 pub(crate) fn fmt_rib_entry(e: &RibEntry) -> String {

@@ -7,6 +7,13 @@
 //! carry arbitrary names, so every Rust `String` round-trips — including
 //! embedded newlines and quotes. Leading indentation is cosmetic and
 //! ignored; blank lines and lines starting with `;` are skipped.
+//!
+//! On top of the tokens sit the read-side primitives every artifact
+//! parser is written in: [`Lines::body`], the one loop that walks a
+//! block of lines to its terminator, and the keyed getters of
+//! [`Cursor`] (`kv`, `kvs`, `kv_opt`, `trailing`, `choice`, `on_off`,
+//! `ascending`) that state a row's shape once, keyword and value
+//! together.
 
 use crate::error::{perr, IoError};
 use net_model::{Ipv4Addr, Ipv4Prefix};
@@ -142,15 +149,15 @@ impl Cursor {
 
     /// Next token must be this exact bare word.
     pub(crate) fn expect(&mut self, kw: &str) -> Result<(), IoError> {
-        let w = self.word(&format!("keyword {kw:?}"))?;
-        if w == kw {
-            Ok(())
-        } else {
-            Err(perr(
-                self.line,
-                format!("expected keyword {kw:?}, found {w:?}"),
-            ))
-        }
+        let found = match self.toks.next() {
+            Some(Tok::Word(w) | Tok::Arg(w)) if w == kw => return Ok(()),
+            Some(Tok::Word(t) | Tok::Str(t) | Tok::Arg(t)) => format!("{t:?}"),
+            None => "end of line".into(),
+        };
+        Err(perr(
+            self.line,
+            format!("expected keyword {kw:?}, found {found}"),
+        ))
     }
 
     /// Next token as a quoted string.
@@ -207,13 +214,110 @@ impl Cursor {
             .collect()
     }
 
+    /// `<kw> <value>`: a keyword and the value it names.
+    pub(crate) fn kv<T: std::str::FromStr>(&mut self, kw: &str, what: &str) -> Result<T, IoError> {
+        self.expect(kw)?;
+        self.parse(what)
+    }
+
+    /// `<kw> "<string>"`: a keyword and the quoted string it names.
+    pub(crate) fn kv_string(&mut self, kw: &str, what: &str) -> Result<String, IoError> {
+        self.expect(kw)?;
+        self.string(what)
+    }
+
+    /// A flat run of `<name> <u64>` pairs, in the order of the row's
+    /// name table — the read side of [`crate::codec::kvs`], which walks
+    /// the same table to write the run.
+    pub(crate) fn kvs<const N: usize>(&mut self, names: &[&str; N]) -> Result<[u64; N], IoError> {
+        let mut values = [0; N];
+        for (name, v) in names.iter().zip(&mut values) {
+            *v = self.kv(name, name)?;
+        }
+        Ok(values)
+    }
+
+    /// `<kw> -` for `None`, `<kw> <value>` for `Some`; `parse` reads the
+    /// value token.
+    pub(crate) fn kv_opt<T>(
+        &mut self,
+        kw: &str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, IoError> {
+        self.expect(kw)?;
+        let w = self.word(what)?;
+        if w == "-" {
+            return Ok(None);
+        }
+        match parse(&w) {
+            Some(v) => Ok(Some(v)),
+            None => Err(perr(self.line, format!("bad {what}: {w:?}"))),
+        }
+    }
+
+    /// A trailing optional marker: nothing more on the line is `None`,
+    /// otherwise the `marker` keyword (when one is named) must introduce
+    /// whatever `get` reads. Markers are written only when set, so rows
+    /// without one keep their bytes.
+    pub(crate) fn trailing<T>(
+        &mut self,
+        marker: &str,
+        get: impl FnOnce(&mut Self) -> Result<T, IoError>,
+    ) -> Result<Option<T>, IoError> {
+        if self.at_end() {
+            return Ok(None);
+        }
+        if !marker.is_empty() {
+            self.expect(marker)?;
+        }
+        get(self).map(Some)
+    }
+
+    /// Next token must be one of a closed set of words; returns the
+    /// value paired with the word found.
+    pub(crate) fn choice<T: Copy>(&mut self, choices: &[(&str, T)]) -> Result<T, IoError> {
+        let w = self.word("a keyword")?;
+        match choices.iter().find(|(word, _)| *word == w) {
+            Some((_, v)) => Ok(*v),
+            None => {
+                let words: Vec<&str> = choices.iter().map(|(word, _)| *word).collect();
+                let expected = words.join("|");
+                Err(perr(self.line, format!("expected {expected}, found {w:?}")))
+            }
+        }
+    }
+
+    /// `on` | `off`.
+    pub(crate) fn on_off(&mut self) -> Result<bool, IoError> {
+        self.choice(&[("on", true), ("off", false)])
+    }
+
+    /// The strictly-sorted-rows guard: canonical encodings order their
+    /// rows, and a parser rejects a row whose `key` does not sort after
+    /// the previous row's rather than resorting.
+    pub(crate) fn ascending<K: PartialOrd>(
+        &self,
+        prev: Option<K>,
+        key: K,
+        what: &str,
+    ) -> Result<(), IoError> {
+        match prev {
+            Some(p) if p >= key => Err(perr(
+                self.line,
+                format!("{what} must be strictly ascending"),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Whether any tokens remain.
     pub(crate) fn at_end(&self) -> bool {
         self.toks.as_slice().is_empty()
     }
 
     /// Asserts the line is fully consumed.
-    pub(crate) fn finish(mut self) -> Result<(), IoError> {
+    pub(crate) fn finish(&mut self) -> Result<(), IoError> {
         match self.toks.next() {
             None => Ok(()),
             Some(Tok::Word(t) | Tok::Str(t) | Tok::Arg(t)) => {
@@ -247,6 +351,55 @@ impl<'a> Lines<'a> {
             return Ok(Some(Cursor::new(toks, idx + 1)));
         }
         Ok(None)
+    }
+
+    /// The next meaningful line where the grammar requires one (a
+    /// status line, a fixed-shape payload line): end of input is a
+    /// truncation still waiting for `what`.
+    pub(crate) fn line(&mut self, what: &str) -> Result<Cursor, IoError> {
+        self.next_cursor()?.ok_or_else(|| IoError::Truncated {
+            expected: what.into(),
+        })
+    }
+
+    /// The one body loop of the format. Hands every meaningful line up
+    /// to the `terminator` word to `on_line` as `(first keyword, rest of
+    /// the line, the lines that follow)` — a handler opens a nested
+    /// block by calling `body` again on the lines it is given — and
+    /// requires each line to be fully consumed when its handler returns.
+    /// End of input before the terminator is [`IoError::Truncated`]; the
+    /// artifact sentinel `end` must also be the last meaningful line of
+    /// the input.
+    pub(crate) fn body(
+        &mut self,
+        what: &str,
+        terminator: &str,
+        mut on_line: impl FnMut(&str, &mut Cursor, &mut Self) -> Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        loop {
+            let Some(mut c) = self.next_cursor()? else {
+                return Err(IoError::Truncated {
+                    expected: if terminator == "end" {
+                        format!("end sentinel of the {what} artifact")
+                    } else {
+                        format!("{terminator} terminator of the {what}")
+                    },
+                });
+            };
+            let kw = c.word("keyword")?;
+            if kw != terminator {
+                on_line(&kw, &mut c, self)?;
+                c.finish()?;
+                continue;
+            }
+            c.finish()?;
+            if terminator == "end" {
+                if let Some(after) = self.next_cursor()? {
+                    return Err(perr(after.line, "content after end sentinel"));
+                }
+            }
+            return Ok(());
+        }
     }
 }
 
@@ -314,5 +467,69 @@ mod tests {
         let mut c = Cursor::new(toks, 2);
         c.expect("drop").unwrap();
         assert!(c.finish().is_err());
+    }
+
+    #[test]
+    fn keyed_getters_read_keyword_and_value_together() {
+        const FIELDS: [&str; 2] = ["epochs", "flows"];
+        let toks = lex_line(
+            "session \"s\" epochs 4 flows 7 budget - verify on label \"x\"",
+            9,
+        );
+        let mut c = Cursor::new(toks.unwrap(), 9);
+        assert_eq!(c.kv_string("session", "session name").unwrap(), "s");
+        assert_eq!(c.kvs(&FIELDS).unwrap(), [4, 7]);
+        let budget = c.kv_opt("budget", "byte budget", |w| w.parse::<u64>().ok());
+        assert_eq!(budget.unwrap(), None);
+        c.expect("verify").unwrap();
+        assert!(c.on_off().unwrap());
+        let label = c.trailing("label", |c| c.string("label")).unwrap();
+        assert_eq!(label.as_deref(), Some("x"));
+        assert_eq!(c.trailing("label", |c| c.string("label")).unwrap(), None);
+        c.finish().unwrap();
+        // A wrong keyword, a word outside a closed set and an unsorted
+        // row are all parse errors at the cursor's line.
+        let mut c = Cursor::new(lex_line("flows 4 maybe", 9).unwrap(), 9);
+        assert!(matches!(
+            c.kvs(&FIELDS),
+            Err(IoError::Parse { line: 9, .. })
+        ));
+        assert!(matches!(c.on_off(), Err(IoError::Parse { line: 9, .. })));
+        assert!(c.ascending(Some("a"), "b", "rows").is_ok());
+        assert!(matches!(
+            c.ascending(Some("b"), "b", "rows"),
+            Err(IoError::Parse { line: 9, .. })
+        ));
+    }
+
+    #[test]
+    fn body_walks_nested_blocks_to_their_terminators() {
+        let text = "open\n  row 1\n  close\nrow 2\nend\n; note\n";
+        let mut seen = Vec::new();
+        let mut lines = Lines::new(text);
+        lines
+            .body("sample", "end", |kw, c, lines| match kw {
+                "open" => lines.body("block", "close", |_, c, _| {
+                    seen.push((c.line, c.parse::<u32>("n")?));
+                    Ok(())
+                }),
+                _ => {
+                    seen.push((c.line, c.parse::<u32>("n")?));
+                    Ok(())
+                }
+            })
+            .unwrap();
+        assert_eq!(seen, vec![(2, 1), (4, 2)]);
+        // End of input inside a block names the block's terminator.
+        let mut lines = Lines::new("open\n  row 1\n");
+        let err = lines.body("sample", "end", |_, _, lines| {
+            lines.body("block", "close", |_, c, _| c.parse::<u32>("n").map(drop))
+        });
+        assert_eq!(
+            err,
+            Err(IoError::Truncated {
+                expected: "close terminator of the block".into()
+            })
+        );
     }
 }

@@ -126,80 +126,43 @@ pub fn write_notify(n: &Notify) -> String {
 /// Parses a notify artifact (requires the `end` sentinel).
 pub fn parse_notify(text: &str) -> Result<Notify, IoError> {
     let mut lines = parse_header(text, Artifact::Notify)?;
-    let Some(mut c) = lines.next_cursor()? else {
-        return Err(IoError::Truncated {
-            expected: "the subscription line of the notify artifact".into(),
-        });
+    let mut c = lines.line("the subscription line of the notify artifact")?;
+    let mut n = Notify {
+        subscription: c.kv("subscription", "subscription id")?,
+        session: c.kv_string("session", "session name")?,
+        events: Vec::new(),
     };
-    c.expect("subscription")?;
-    let subscription = c.parse("subscription id")?;
-    c.expect("session")?;
-    let session = c.string("session name")?;
     c.finish()?;
-    let mut events = Vec::new();
-    loop {
-        let Some(mut c) = lines.next_cursor()? else {
-            return Err(IoError::Truncated {
-                expected: "end sentinel of the notify artifact".into(),
-            });
-        };
-        let kw = c.word("keyword")?;
-        match kw.as_str() {
-            "end" => {
-                c.finish()?;
-                if let Some(c) = lines.next_cursor()? {
-                    return Err(perr(c.line, "content after end sentinel"));
-                }
-                return Ok(Notify {
-                    subscription,
-                    session,
-                    events,
-                });
-            }
+    lines.body("notify", "end", |kw, c, _| {
+        n.events.push(match kw {
             "event" => {
                 let epoch = c.parse("commit index")?;
-                let what = c.word("event kind")?;
-                let ev = match what.as_str() {
+                match c.word("event kind")?.as_str() {
                     "reach" => NotifyEvent::Reach {
                         epoch,
-                        outcomes: parse_outcomes(&mut c)?,
+                        outcomes: parse_outcomes(c)?,
                     },
                     "blast" => NotifyEvent::Blast {
                         epoch,
                         flows: c.parse("flow count")?,
                     },
-                    "invariant" => {
-                        let verdict = c.word("holds|violated")?;
-                        let holds = match verdict.as_str() {
-                            "holds" => true,
-                            "violated" => false,
-                            other => {
-                                return Err(perr(
-                                    c.line,
-                                    format!("expected holds|violated, found {other:?}"),
-                                ))
-                            }
-                        };
-                        NotifyEvent::Invariant {
-                            epoch,
-                            holds,
-                            outcomes: parse_outcomes(&mut c)?,
-                        }
-                    }
+                    "invariant" => NotifyEvent::Invariant {
+                        epoch,
+                        holds: c.choice(&[("holds", true), ("violated", false)])?,
+                        outcomes: parse_outcomes(c)?,
+                    },
                     other => return Err(perr(c.line, format!("unknown event kind {other:?}"))),
-                };
-                events.push(ev);
+                }
             }
-            "resync" => {
-                let epoch = c.parse("commit index")?;
-                c.expect("dropped")?;
-                let dropped = c.parse("dropped count")?;
-                events.push(NotifyEvent::Resync { epoch, dropped });
-            }
+            "resync" => NotifyEvent::Resync {
+                epoch: c.parse("commit index")?,
+                dropped: c.kv("dropped", "dropped count")?,
+            },
             other => return Err(perr(c.line, format!("unknown notify keyword {other:?}"))),
-        }
-        c.finish()?;
-    }
+        });
+        Ok(())
+    })?;
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -291,21 +254,6 @@ mod tests {
                 "dna-io v1 notify\n  subscription 1 session \"s\"\n  event 0 invariant maybe -\nend\n"
             ),
             Err(IoError::Parse { line: 3, .. })
-        ));
-        assert!(matches!(
-            parse_notify("dna-io v2 notify\n  subscription 1 session \"s\"\nend\n"),
-            Err(IoError::UnsupportedVersion(2))
-        ));
-        assert!(matches!(
-            parse_notify("dna-io v3 response\nend\n"),
-            Err(IoError::WrongArtifact { .. })
-        ));
-        // Content after the end sentinel is rejected.
-        assert!(matches!(
-            parse_notify(
-                "dna-io v1 notify\n  subscription 1 session \"s\"\nend\nevent 0 blast 1\n"
-            ),
-            Err(IoError::Parse { line: 4, .. })
         ));
     }
 }

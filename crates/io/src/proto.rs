@@ -14,9 +14,11 @@
 //! guarantees as snapshots, traces and reports (see
 //! `crates/io/FORMAT.md`).
 
-use crate::codec::{parse_header, W};
+use crate::codec::{
+    fmt_flow, fmt_outcomes, kvs, on_off, parse_flow, parse_header, parse_outcomes, W,
+};
 use crate::error::{perr, IoError};
-use crate::lex::{quote, Cursor, Tok};
+use crate::lex::{quote, Cursor, Lines, Tok};
 use crate::report::{write_epoch, EpochDiff, EpochsParser, IndexRule};
 use crate::Artifact;
 use data_plane::Outcome;
@@ -296,6 +298,17 @@ pub enum Response {
 
 // ---- write ------------------------------------------------------------
 
+// The flat `<name> <u64>` runs of the response payload rows.
+const LOADED_FIELDS: [&str; 2] = ["devices", "links"];
+const INGESTED_FIELDS: [&str; 3] = ["epochs", "flows", "total"];
+const CHECKPOINTED_FIELDS: [&str; 2] = ["epochs", "bytes"];
+const BLAST_FIELDS: [&str; 2] = ["window", "flows"];
+const STATS_SESSION_FIELDS: [&str; 3] = ["epochs", "retained", "from"];
+const STATS_TOPOLOGY_FIELDS: [&str; 2] = ["devices", "links"];
+const STATS_STATE_FIELDS: [&str; 2] = ["classes", "tuples"];
+const STATS_WORK_FIELDS: [&str; 2] = ["flows", "mismatches"];
+const STATS_TIME_FIELDS: [&str; 3] = ["cp-us", "dp-us", "total-us"];
+
 /// Serializes a query.
 pub fn write_query(q: &Query) -> String {
     let mut w = W::new(Artifact::Query);
@@ -304,24 +317,14 @@ pub fn write_query(q: &Query) -> String {
     }
     // `<device> <flow>`: the tail `reach` shares with the flow-carrying
     // subscription kinds (the write side of `parse_flow`).
-    let flow_from = |src: &str, f: &Flow| {
-        let (proto, sport, dport) = (f.proto, f.src_port, f.dst_port);
-        format!("{} {} {} {proto} {sport} {dport}", quote(src), f.src, f.dst)
-    };
+    let flow_from = |src: &str, f: &Flow| format!("{} {}", quote(src), fmt_flow(f));
     let pair = |src: &str, dst: &str| format!("{} {}", quote(src), quote(dst));
     let line = match &q.kind {
         QueryKind::Reach { src, flow } => format!("reach {}", flow_from(src, flow)),
         QueryKind::ReachPair { src, dst } => format!("reach-pair {}", pair(src, dst)),
         QueryKind::Blast { last } => format!("blast {last}"),
         QueryKind::Report { from, to } => format!("report {from} {to}"),
-        QueryKind::Stats => "stats".into(),
-        QueryKind::Sessions => "sessions".into(),
-        QueryKind::Checkpoint => "checkpoint".into(),
-        QueryKind::Metrics => "metrics".into(),
-        QueryKind::TraceSpans { last: None } => "trace".into(),
         QueryKind::TraceSpans { last: Some(n) } => format!("trace {n}"),
-        QueryKind::Health => "health".into(),
-        QueryKind::History { last: None } => "history".into(),
         QueryKind::History { last: Some(n) } => format!("history {n}"),
         QueryKind::Subscribe(spec) => match spec {
             SubscriptionSpec::Reach { src, flow } => {
@@ -340,6 +343,8 @@ pub fn write_query(q: &Query) -> String {
         },
         QueryKind::Unsubscribe { id } => format!("unsubscribe {id}"),
         QueryKind::Notifications { id } => format!("notifications {id}"),
+        // Every remaining command is its bare keyword.
+        bare => bare.name().into(),
     };
     w.line(1, &line);
     w.finish()
@@ -347,8 +352,12 @@ pub fn write_query(q: &Query) -> String {
 
 /// Serializes a response.
 pub fn write_response(r: &Response) -> String {
-    use crate::codec::fmt_outcomes;
     let mut w = W::new(Artifact::Response);
+    // The status line, then a `session "<name>" <fields>` payload row.
+    let session_row = |w: &mut W, status: &str, session: &str, fields: &dyn std::fmt::Display| {
+        w.line(0, status);
+        w.line(1, &format!("session {} {fields}", quote(session)));
+    };
     match r {
         Response::Error(msg) => w.line(0, &format!("error {}", quote(msg))),
         Response::Loaded {
@@ -356,11 +365,8 @@ pub fn write_response(r: &Response) -> String {
             devices,
             links,
         } => {
-            w.line(0, "ok loaded");
-            w.line(
-                1,
-                &format!("session {} devices {devices} links {links}", quote(session)),
-            );
+            let fields = kvs(&LOADED_FIELDS, [*devices, *links]);
+            session_row(&mut w, "ok loaded", session, &fields);
         }
         Response::Ingested {
             session,
@@ -368,14 +374,8 @@ pub fn write_response(r: &Response) -> String {
             flows,
             total,
         } => {
-            w.line(0, "ok ingested");
-            w.line(
-                1,
-                &format!(
-                    "session {} epochs {epochs} flows {flows} total {total}",
-                    quote(session)
-                ),
-            );
+            let fields = kvs(&INGESTED_FIELDS, [*epochs, *flows, *total]);
+            session_row(&mut w, "ok ingested", session, &fields);
         }
         Response::Reach { outcomes } => {
             w.line(0, "ok reach");
@@ -387,7 +387,7 @@ pub fn write_response(r: &Response) -> String {
             devices,
         } => {
             w.line(0, "ok blast");
-            w.line(1, &format!("window {epochs} flows {flows}"));
+            w.line(1, &kvs(&BLAST_FIELDS, [*epochs, *flows]).to_string());
             for (d, n) in devices {
                 w.line(1, &format!("device {} flows {n}", quote(d)));
             }
@@ -399,35 +399,23 @@ pub fn write_response(r: &Response) -> String {
             }
         }
         Response::Stats(s) => {
-            w.line(0, "ok stats");
-            w.line(
-                1,
-                &format!(
-                    "session {} epochs {} retained {} from {}",
-                    quote(&s.session),
-                    s.epochs,
-                    s.retained,
-                    s.retained_from
-                ),
+            let fields = kvs(
+                &STATS_SESSION_FIELDS,
+                [s.epochs, s.retained, s.retained_from],
             );
-            w.line(
-                1,
-                &format!("topology devices {} links {}", s.devices, s.links),
+            session_row(&mut w, "ok stats", &s.session, &fields);
+            let mut row = |head: &str, fields: &dyn std::fmt::Display| {
+                w.line(1, &format!("{head} {fields}"));
+            };
+            row(
+                "topology",
+                &kvs(&STATS_TOPOLOGY_FIELDS, [s.devices, s.links]),
             );
-            w.line(
-                1,
-                &format!("state classes {} tuples {}", s.classes, s.tuples),
-            );
-            w.line(
-                1,
-                &format!("work flows {} mismatches {}", s.flows, s.mismatches),
-            );
-            w.line(
-                1,
-                &format!(
-                    "time cp-us {} dp-us {} total-us {}",
-                    s.cp_us, s.dp_us, s.total_us
-                ),
+            row("state", &kvs(&STATS_STATE_FIELDS, [s.classes, s.tuples]));
+            row("work", &kvs(&STATS_WORK_FIELDS, [s.flows, s.mismatches]));
+            row(
+                "time",
+                &kvs(&STATS_TIME_FIELDS, [s.cp_us, s.dp_us, s.total_us]),
             );
         }
         Response::Sessions(list) => {
@@ -440,7 +428,7 @@ pub fn write_response(r: &Response) -> String {
                         quote(&s.name),
                         s.epochs,
                         s.devices,
-                        if s.verify { "on" } else { "off" },
+                        on_off(s.verify),
                         if s.failed { " failed" } else { "" }
                     ),
                 );
@@ -451,11 +439,8 @@ pub fn write_response(r: &Response) -> String {
             epochs,
             bytes,
         } => {
-            w.line(0, "ok checkpointed");
-            w.line(
-                1,
-                &format!("session {} epochs {epochs} bytes {bytes}", quote(session)),
-            );
+            let fields = kvs(&CHECKPOINTED_FIELDS, [*epochs, *bytes]);
+            session_row(&mut w, "ok checkpointed", session, &fields);
         }
     }
     w.finish()
@@ -468,42 +453,28 @@ pub fn parse_query(text: &str) -> Result<Query, IoError> {
     let mut lines = parse_header(text, Artifact::Query)?;
     let mut session: Option<String> = None;
     let mut kind: Option<QueryKind> = None;
-    while let Some(mut c) = lines.next_cursor()? {
-        let kw = c.word("keyword")?;
-        match kw.as_str() {
-            "end" => {
-                c.finish()?;
-                if let Some(c) = lines.next_cursor()? {
-                    return Err(perr(c.line, "content after end sentinel"));
-                }
-                return match kind {
-                    Some(kind) => Ok(Query { session, kind }),
-                    None => Err(IoError::Truncated {
-                        expected: "a query command before the end sentinel".into(),
-                    }),
-                };
-            }
-            "session" => {
-                if session.is_some() {
-                    return Err(perr(c.line, "duplicate session line"));
-                }
-                if kind.is_some() {
-                    return Err(perr(c.line, "session line must precede the command"));
-                }
-                session = Some(c.string("session name")?);
-            }
-            cmd => {
-                if kind.is_some() {
-                    return Err(perr(c.line, "a query carries exactly one command"));
-                }
-                kind = Some(parse_query_kind(cmd, &mut c)?);
-            }
+    lines.body("query", "end", |kw, c, _| {
+        if kind.is_some() {
+            return Err(perr(
+                c.line,
+                "a query carries exactly one command, after any session line",
+            ));
         }
-        c.finish()?;
+        if kw != "session" {
+            kind = Some(parse_query_kind(kw, c)?);
+        } else if session.is_some() {
+            return Err(perr(c.line, "duplicate session line"));
+        } else {
+            session = Some(c.string("session name")?);
+        }
+        Ok(())
+    })?;
+    match kind {
+        Some(kind) => Ok(Query { session, kind }),
+        None => Err(IoError::Truncated {
+            expected: "a query command before the end sentinel".into(),
+        }),
     }
-    Err(IoError::Truncated {
-        expected: "end sentinel of the query artifact".into(),
-    })
 }
 
 /// Parses a query command given as already-split words — a command
@@ -542,19 +513,11 @@ fn parse_query_kind(cmd: &str, c: &mut Cursor) -> Result<QueryKind, IoError> {
         "checkpoint" => Ok(QueryKind::Checkpoint),
         "metrics" => Ok(QueryKind::Metrics),
         "trace" => Ok(QueryKind::TraceSpans {
-            last: if c.at_end() {
-                None
-            } else {
-                Some(c.parse("span count")?)
-            },
+            last: c.trailing("", |c| c.parse("span count"))?,
         }),
         "health" => Ok(QueryKind::Health),
         "history" => Ok(QueryKind::History {
-            last: if c.at_end() {
-                None
-            } else {
-                Some(c.parse("sample count")?)
-            },
+            last: c.trailing("", |c| c.parse("sample count"))?,
         }),
         "subscribe" => {
             let what = c.word("subscription kind")?;
@@ -600,305 +563,151 @@ fn parse_query_kind(cmd: &str, c: &mut Cursor) -> Result<QueryKind, IoError> {
     }
 }
 
-/// Parses the five flow tokens shared by `reach` and the flow-carrying
-/// subscription kinds.
-fn parse_flow(c: &mut Cursor) -> Result<Flow, IoError> {
-    Ok(Flow {
-        src: c.ip("flow source address")?,
-        dst: c.ip("flow destination address")?,
-        proto: c.parse("flow protocol")?,
-        src_port: c.parse("flow source port")?,
-        dst_port: c.parse("flow destination port")?,
-    })
+/// The next line of a fixed-shape payload: `session "<name>"` and the
+/// row's flat fields.
+fn session_row<const N: usize>(
+    lines: &mut Lines<'_>,
+    names: &[&str; N],
+) -> Result<(String, [u64; N]), IoError> {
+    let mut c = lines.line("a response payload line")?;
+    let session = c.kv_string("session", "session name")?;
+    let fields = c.kvs(names)?;
+    c.finish()?;
+    Ok((session, fields))
+}
+
+/// The next line of a fixed-shape payload: a `head` keyword and the
+/// row's flat fields.
+fn flat_row<const N: usize>(
+    lines: &mut Lines<'_>,
+    head: &str,
+    names: &[&str; N],
+) -> Result<[u64; N], IoError> {
+    let mut c = lines.line("a response payload line")?;
+    c.expect(head)?;
+    let fields = c.kvs(names)?;
+    c.finish()?;
+    Ok(fields)
 }
 
 /// Parses a response artifact (requires the `end` sentinel).
 pub fn parse_response(text: &str) -> Result<Response, IoError> {
-    use crate::codec::parse_outcomes;
     let mut lines = parse_header(text, Artifact::Response)?;
-    let Some(mut c) = lines.next_cursor()? else {
-        return Err(IoError::Truncated {
-            expected: "a response status line".into(),
-        });
-    };
-    let kw = c.word("keyword")?;
-    match kw.as_str() {
-        "error" => {
-            let msg = c.string("error message")?;
-            c.finish()?;
-            expect_end(&mut lines)?;
-            Ok(Response::Error(msg))
-        }
+    let mut c = lines.line("a response status line")?;
+    // The status line and any fixed-shape payload lines come first; the
+    // body driver then takes the row-per-line payloads (blast devices,
+    // sessions, report epochs) through `end`.
+    let mut response = match c.word("error|ok")?.as_str() {
+        "error" => Response::Error(c.string("error message")?),
         "ok" => {
             let kind = c.word("response kind")?;
-            let kind_line = c.line;
             c.finish()?;
             match kind.as_str() {
                 "loaded" => {
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("session")?;
-                    let session = c.string("session name")?;
-                    c.expect("devices")?;
-                    let devices = c.parse("device count")?;
-                    c.expect("links")?;
-                    let links = c.parse("link count")?;
-                    c.finish()?;
-                    expect_end(&mut lines)?;
-                    Ok(Response::Loaded {
+                    let (session, [devices, links]) = session_row(&mut lines, &LOADED_FIELDS)?;
+                    Response::Loaded {
                         session,
                         devices,
                         links,
-                    })
+                    }
                 }
                 "ingested" => {
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("session")?;
-                    let session = c.string("session name")?;
-                    c.expect("epochs")?;
-                    let epochs = c.parse("epoch count")?;
-                    c.expect("flows")?;
-                    let flows = c.parse("flow count")?;
-                    c.expect("total")?;
-                    let total = c.parse("total epoch count")?;
-                    c.finish()?;
-                    expect_end(&mut lines)?;
-                    Ok(Response::Ingested {
+                    let (session, [epochs, flows, total]) =
+                        session_row(&mut lines, &INGESTED_FIELDS)?;
+                    Response::Ingested {
                         session,
                         epochs,
                         flows,
                         total,
-                    })
+                    }
                 }
                 "reach" => {
-                    let mut c = payload_line(&mut lines)?;
+                    let mut c = lines.line("a response payload line")?;
                     c.expect("outcomes")?;
                     let outcomes = parse_outcomes(&mut c)?;
                     c.finish()?;
-                    expect_end(&mut lines)?;
-                    Ok(Response::Reach { outcomes })
+                    Response::Reach { outcomes }
                 }
                 "blast" => {
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("window")?;
-                    let epochs = c.parse("window size")?;
-                    c.expect("flows")?;
-                    let flows = c.parse("flow count")?;
+                    let mut c = lines.line("a response payload line")?;
+                    let [epochs, flows] = c.kvs(&BLAST_FIELDS)?;
                     c.finish()?;
-                    let mut devices = Vec::new();
-                    loop {
-                        let Some(mut c) = lines.next_cursor()? else {
-                            return Err(IoError::Truncated {
-                                expected: "end sentinel of the response artifact".into(),
-                            });
-                        };
-                        let kw = c.word("keyword")?;
-                        if kw == "end" {
-                            c.finish()?;
-                            expect_none(&mut lines)?;
-                            return Ok(Response::Blast {
-                                epochs,
-                                flows,
-                                devices,
-                            });
-                        }
-                        if kw != "device" {
-                            return Err(perr(
-                                c.line,
-                                format!("expected device lines or end, found {kw:?}"),
-                            ));
-                        }
-                        let d = c.string("device")?;
-                        c.expect("flows")?;
-                        let n = c.parse("flow count")?;
-                        if let Some((prev, _)) = devices.last() {
-                            if *prev >= d {
-                                return Err(perr(c.line, "device lines must be name-sorted"));
-                            }
-                        }
-                        devices.push((d, n));
-                        c.finish()?;
+                    Response::Blast {
+                        epochs,
+                        flows,
+                        devices: Vec::new(),
                     }
                 }
-                "report" => {
-                    let mut epochs = EpochsParser::new(IndexRule::StrictlyIncreasing);
-                    loop {
-                        let Some(mut c) = lines.next_cursor()? else {
-                            return Err(IoError::Truncated {
-                                expected: "end sentinel of the response artifact".into(),
-                            });
-                        };
-                        let kw = c.word("keyword")?;
-                        if kw == "end" {
-                            c.finish()?;
-                            expect_none(&mut lines)?;
-                            return Ok(Response::Report {
-                                epochs: epochs.finish()?,
-                            });
-                        }
-                        if !epochs.try_line(&kw, &mut c)? {
-                            return Err(perr(
-                                c.line,
-                                format!("unknown report payload keyword {kw:?}"),
-                            ));
-                        }
-                        c.finish()?;
-                    }
-                }
+                "report" => Response::Report { epochs: Vec::new() },
                 "stats" => {
                     let mut s = ServiceStats::default();
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("session")?;
-                    s.session = c.string("session name")?;
-                    c.expect("epochs")?;
-                    s.epochs = c.parse("epoch count")?;
-                    c.expect("retained")?;
-                    s.retained = c.parse("retained count")?;
-                    c.expect("from")?;
-                    s.retained_from = c.parse("oldest retained index")?;
-                    c.finish()?;
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("topology")?;
-                    c.expect("devices")?;
-                    s.devices = c.parse("device count")?;
-                    c.expect("links")?;
-                    s.links = c.parse("link count")?;
-                    c.finish()?;
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("state")?;
-                    c.expect("classes")?;
-                    s.classes = c.parse("class count")?;
-                    c.expect("tuples")?;
-                    s.tuples = c.parse("tuple count")?;
-                    c.finish()?;
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("work")?;
-                    c.expect("flows")?;
-                    s.flows = c.parse("flow count")?;
-                    c.expect("mismatches")?;
-                    s.mismatches = c.parse("mismatch count")?;
-                    c.finish()?;
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("time")?;
-                    c.expect("cp-us")?;
-                    s.cp_us = c.parse("cp microseconds")?;
-                    c.expect("dp-us")?;
-                    s.dp_us = c.parse("dp microseconds")?;
-                    c.expect("total-us")?;
-                    s.total_us = c.parse("total microseconds")?;
-                    c.finish()?;
-                    expect_end(&mut lines)?;
-                    Ok(Response::Stats(s))
+                    (s.session, [s.epochs, s.retained, s.retained_from]) =
+                        session_row(&mut lines, &STATS_SESSION_FIELDS)?;
+                    [s.devices, s.links] =
+                        flat_row(&mut lines, "topology", &STATS_TOPOLOGY_FIELDS)?;
+                    [s.classes, s.tuples] = flat_row(&mut lines, "state", &STATS_STATE_FIELDS)?;
+                    [s.flows, s.mismatches] = flat_row(&mut lines, "work", &STATS_WORK_FIELDS)?;
+                    [s.cp_us, s.dp_us, s.total_us] =
+                        flat_row(&mut lines, "time", &STATS_TIME_FIELDS)?;
+                    Response::Stats(s)
                 }
-                "sessions" => {
-                    let mut list: Vec<SessionInfo> = Vec::new();
-                    loop {
-                        let Some(mut c) = lines.next_cursor()? else {
-                            return Err(IoError::Truncated {
-                                expected: "end sentinel of the response artifact".into(),
-                            });
-                        };
-                        let kw = c.word("keyword")?;
-                        if kw == "end" {
-                            c.finish()?;
-                            expect_none(&mut lines)?;
-                            return Ok(Response::Sessions(list));
-                        }
-                        if kw != "session" {
-                            return Err(perr(
-                                c.line,
-                                format!("expected session lines or end, found {kw:?}"),
-                            ));
-                        }
-                        let name = c.string("session name")?;
-                        c.expect("epochs")?;
-                        let epochs = c.parse("epoch count")?;
-                        c.expect("devices")?;
-                        let devices = c.parse("device count")?;
-                        c.expect("verify")?;
-                        let verify = match c.word("on|off")?.as_str() {
-                            "on" => true,
-                            "off" => false,
-                            other => {
-                                return Err(perr(
-                                    c.line,
-                                    format!("expected on|off, found {other:?}"),
-                                ))
-                            }
-                        };
-                        // Optional trailing failure marker (written only
-                        // when set, keeping healthy rows byte-stable).
-                        let failed = if c.at_end() {
-                            false
-                        } else {
-                            c.expect("failed")?;
-                            true
-                        };
-                        if let Some(prev) = list.last() {
-                            if prev.name >= name {
-                                return Err(perr(c.line, "session lines must be name-sorted"));
-                            }
-                        }
-                        list.push(SessionInfo {
-                            name,
-                            epochs,
-                            devices,
-                            verify,
-                            failed,
-                        });
-                        c.finish()?;
-                    }
-                }
+                "sessions" => Response::Sessions(Vec::new()),
                 "checkpointed" => {
-                    let mut c = payload_line(&mut lines)?;
-                    c.expect("session")?;
-                    let session = c.string("session name")?;
-                    c.expect("epochs")?;
-                    let epochs = c.parse("epoch count")?;
-                    c.expect("bytes")?;
-                    let bytes = c.parse("byte count")?;
-                    c.finish()?;
-                    expect_end(&mut lines)?;
-                    Ok(Response::Checkpointed {
+                    let (session, [epochs, bytes]) = session_row(&mut lines, &CHECKPOINTED_FIELDS)?;
+                    Response::Checkpointed {
                         session,
                         epochs,
                         bytes,
-                    })
+                    }
                 }
-                other => Err(perr(kind_line, format!("unknown response kind {other:?}"))),
+                other => return Err(perr(c.line, format!("unknown response kind {other:?}"))),
             }
         }
-        other => Err(perr(
-            c.line,
-            format!("expected error or ok, found {other:?}"),
-        )),
-    }
-}
-
-/// Next line of a fixed-shape payload (truncation mid-payload is typed).
-fn payload_line(lines: &mut crate::lex::Lines<'_>) -> Result<Cursor, IoError> {
-    lines.next_cursor()?.ok_or_else(|| IoError::Truncated {
-        expected: "a response payload line".into(),
-    })
-}
-
-/// Requires the `end` sentinel next, then end of input.
-fn expect_end(lines: &mut crate::lex::Lines<'_>) -> Result<(), IoError> {
-    let Some(mut c) = lines.next_cursor()? else {
-        return Err(IoError::Truncated {
-            expected: "end sentinel of the response artifact".into(),
-        });
+        other => {
+            return Err(perr(
+                c.line,
+                format!("expected error or ok, found {other:?}"),
+            ))
+        }
     };
-    c.expect("end")?;
     c.finish()?;
-    expect_none(lines)
-}
-
-/// Requires end of input (nothing after the sentinel).
-fn expect_none(lines: &mut crate::lex::Lines<'_>) -> Result<(), IoError> {
-    if let Some(c) = lines.next_cursor()? {
-        return Err(perr(c.line, "content after end sentinel"));
+    let mut report = EpochsParser::new(IndexRule::StrictlyIncreasing);
+    lines.body("response", "end", |kw, c, _| match (&mut response, kw) {
+        (Response::Blast { devices, .. }, "device") => {
+            let d = c.string("device")?;
+            let n = c.kv("flows", "flow count")?;
+            c.ascending(devices.last().map(|(prev, _)| prev), &d, "device rows")?;
+            devices.push((d, n));
+            Ok(())
+        }
+        (Response::Sessions(list), "session") => {
+            let name = c.string("session name")?;
+            let epochs = c.kv("epochs", "epoch count")?;
+            let devices = c.kv("devices", "device count")?;
+            c.expect("verify")?;
+            let s = SessionInfo {
+                name,
+                epochs,
+                devices,
+                verify: c.on_off()?,
+                // Optional trailing failure marker (written only when
+                // set, keeping healthy rows byte-stable).
+                failed: c.trailing("failed", |_| Ok(()))?.is_some(),
+            };
+            c.ascending(list.last().map(|prev| &prev.name), &s.name, "session rows")?;
+            list.push(s);
+            Ok(())
+        }
+        (Response::Report { .. }, _) => report.line(kw, c),
+        _ => Err(perr(
+            c.line,
+            format!("unexpected response payload keyword {kw:?}"),
+        )),
+    })?;
+    if let Response::Report { epochs } = &mut response {
+        *epochs = report.finish()?;
     }
-    Ok(())
+    Ok(response)
 }
 
 #[cfg(test)]

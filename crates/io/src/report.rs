@@ -9,8 +9,8 @@
 //! semantically produce byte-identical report files.
 
 use crate::codec::{
-    fmt_fib_entry, fmt_outcomes, fmt_rib_entry, parse_fib_entry, parse_header, parse_outcomes,
-    parse_rib_entry, W,
+    fmt_fib_entry, fmt_flow, fmt_label, fmt_outcomes, fmt_rib_entry, parse_fib_entry, parse_flow,
+    parse_header, parse_outcomes, parse_rib_entry, W,
 };
 use crate::error::{perr, IoError};
 use crate::lex::{quote, Cursor};
@@ -78,10 +78,7 @@ pub fn write_report(report: &Report) -> String {
 /// Shared by the report artifact and the `ok report` response payload,
 /// which carries the same grammar under absolute epoch indices.
 pub(crate) fn write_epoch(w: &mut W, index: usize, ep: &EpochDiff) {
-    match &ep.label {
-        None => w.line(0, &format!("epoch {index}")),
-        Some(l) => w.line(0, &format!("epoch {index} label {}", quote(l))),
-    }
+    w.line(0, &format!("epoch {index}{}", fmt_label(&ep.label)));
     for (e, d) in &ep.rib {
         w.line(1, &format!("rib {d:+} {}", fmt_rib_entry(e)));
     }
@@ -89,18 +86,8 @@ pub(crate) fn write_epoch(w: &mut W, index: usize, ep: &EpochDiff) {
         w.line(1, &format!("fib {d:+} {}", fmt_fib_entry(e)));
     }
     for f in &ep.flows {
-        w.line(
-            1,
-            &format!(
-                "flow {} example {} {} {} {} {}",
-                quote(&f.src),
-                f.example.src,
-                f.example.dst,
-                f.example.proto,
-                f.example.src_port,
-                f.example.dst_port
-            ),
-        );
+        let (src, example) = (quote(&f.src), fmt_flow(&f.example));
+        w.line(1, &format!("flow {src} example {example}"));
         for h in &f.headers {
             w.line(2, &format!("header {}", quote(h)));
         }
@@ -157,9 +144,8 @@ pub(crate) enum IndexRule {
 
 /// Incremental parser for the epoch-body sub-grammar (`epoch` / `rib` /
 /// `fib` / `flow` / `header` / `before` / `after` lines), shared by the
-/// report artifact and the `ok report` response payload. Feed it every
-/// body line via [`EpochsParser::try_line`]; anything it does not consume
-/// belongs to the caller's grammar.
+/// report artifact, the `ok report` response payload and a checkpoint's
+/// history section. Feed it every body line via [`EpochsParser::line`].
 pub(crate) struct EpochsParser {
     rule: IndexRule,
     epochs: Vec<(usize, EpochDiff)>,
@@ -197,10 +183,15 @@ impl EpochsParser {
         Ok(())
     }
 
-    /// Consumes a line if its keyword belongs to the epoch-body grammar;
-    /// returns `Ok(false)` (without touching the cursor further) when the
-    /// keyword is not ours. The caller runs `Cursor::finish`.
-    pub(crate) fn try_line(&mut self, kw: &str, c: &mut Cursor) -> Result<bool, IoError> {
+    fn epoch_mut(&mut self, line: usize, kw: &str) -> Result<&mut EpochDiff, IoError> {
+        let cur = self.cur.as_mut().map(|(_, ep)| ep);
+        cur.ok_or_else(|| perr(line, format!("{kw} outside an epoch")))
+    }
+
+    /// Consumes one line of the epoch-body grammar; a keyword outside it
+    /// is a parse error. The caller runs `Cursor::finish`.
+    pub(crate) fn line(&mut self, kw: &str, c: &mut Cursor) -> Result<(), IoError> {
+        let line = c.line;
         match kw {
             "epoch" => {
                 self.flush_epoch()?;
@@ -209,7 +200,7 @@ impl EpochsParser {
                     IndexRule::ConsecutiveFromZero => {
                         if index != self.epochs.len() {
                             return Err(perr(
-                                c.line,
+                                line,
                                 format!(
                                     "epoch index {index} out of order (expected {})",
                                     self.epochs.len()
@@ -218,22 +209,11 @@ impl EpochsParser {
                         }
                     }
                     IndexRule::StrictlyIncreasing => {
-                        if let Some((prev, _)) = self.epochs.last() {
-                            if index <= *prev {
-                                return Err(perr(
-                                    c.line,
-                                    format!("epoch index {index} not increasing (after {prev})"),
-                                ));
-                            }
-                        }
+                        let prev = self.epochs.last().map(|(i, _)| *i);
+                        c.ascending(prev, index, "epoch indices")?;
                     }
                 }
-                let label = if c.at_end() {
-                    None
-                } else {
-                    c.expect("label")?;
-                    Some(c.string("epoch label")?)
-                };
+                let label = c.trailing("label", |c| c.string("epoch label"))?;
                 self.cur = Some((
                     index,
                     EpochDiff {
@@ -242,48 +222,25 @@ impl EpochsParser {
                     },
                 ));
             }
-            "rib" => {
+            "rib" | "fib" => {
                 self.flush_flow()?;
-                let line = c.line;
                 let d = parse_diff_weight(c)?;
-                let e = parse_rib_entry(c)?;
-                self.cur
-                    .as_mut()
-                    .ok_or_else(|| perr(line, "rib outside an epoch"))?
-                    .1
-                    .rib
-                    .push((e, d));
-            }
-            "fib" => {
-                self.flush_flow()?;
-                let line = c.line;
-                let d = parse_diff_weight(c)?;
-                let e = parse_fib_entry(c)?;
-                self.cur
-                    .as_mut()
-                    .ok_or_else(|| perr(line, "fib outside an epoch"))?
-                    .1
-                    .fib
-                    .push((e, d));
+                if kw == "rib" {
+                    let e = parse_rib_entry(c)?;
+                    self.epoch_mut(line, kw)?.rib.push((e, d));
+                } else {
+                    let e = parse_fib_entry(c)?;
+                    self.epoch_mut(line, kw)?.fib.push((e, d));
+                }
             }
             "flow" => {
                 self.flush_flow()?;
-                let line = c.line;
-                if self.cur.is_none() {
-                    return Err(perr(line, "flow outside an epoch"));
-                }
+                self.epoch_mut(line, kw)?;
                 let src = c.string("source device")?;
                 c.expect("example")?;
-                let example = Flow {
-                    src: c.ip("example source address")?,
-                    dst: c.ip("example destination address")?,
-                    proto: c.parse("example protocol")?,
-                    src_port: c.parse("example source port")?,
-                    dst_port: c.parse("example destination port")?,
-                };
                 self.cur_flow = Some(FlowBuilder {
                     src,
-                    example,
+                    example: parse_flow(c)?,
                     headers: Vec::new(),
                     before: None,
                     after: None,
@@ -291,7 +248,6 @@ impl EpochsParser {
                 });
             }
             "header" => {
-                let line = c.line;
                 let h = c.string("header description")?;
                 self.cur_flow
                     .as_mut()
@@ -300,7 +256,6 @@ impl EpochsParser {
                     .push(h);
             }
             "before" | "after" => {
-                let line = c.line;
                 let outcomes = parse_outcomes(c)?;
                 let f = self
                     .cur_flow
@@ -316,9 +271,9 @@ impl EpochsParser {
                 }
                 *slot = Some(outcomes);
             }
-            _ => return Ok(false),
+            other => return Err(perr(line, format!("unknown epoch-body keyword {other:?}"))),
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Completes any in-progress epoch and returns the indexed stream.
@@ -332,23 +287,8 @@ impl EpochsParser {
 pub fn parse_report(text: &str) -> Result<Report, IoError> {
     let mut lines = parse_header(text, Artifact::Report)?;
     let mut epochs = EpochsParser::new(IndexRule::ConsecutiveFromZero);
-    while let Some(mut c) = lines.next_cursor()? {
-        let kw = c.word("keyword")?;
-        if kw == "end" {
-            c.finish()?;
-            if let Some(c) = lines.next_cursor()? {
-                return Err(perr(c.line, "content after end sentinel"));
-            }
-            return Ok(Report {
-                epochs: epochs.finish()?.into_iter().map(|(_, ep)| ep).collect(),
-            });
-        }
-        if !epochs.try_line(&kw, &mut c)? {
-            return Err(perr(c.line, format!("unknown report keyword {kw:?}")));
-        }
-        c.finish()?;
-    }
-    Err(IoError::Truncated {
-        expected: "end sentinel of the report artifact".into(),
+    lines.body("report", "end", |kw, c, _| epochs.line(kw, c))?;
+    Ok(Report {
+        epochs: epochs.finish()?.into_iter().map(|(_, ep)| ep).collect(),
     })
 }

@@ -8,7 +8,7 @@ use crate::codec::{
     parse_link, parse_route_attrs, write_route_map, RouteMapBuilder, W,
 };
 use crate::error::{perr, IoError};
-use crate::lex::quote;
+use crate::lex::{quote, Cursor, Lines};
 use crate::Artifact;
 use net_model::{
     BgpConfig, BgpNeighbor, DeviceConfig, ExternalRoute, IfaceConfig, NextHop, OspfIfaceConfig,
@@ -19,6 +19,13 @@ use net_model::{
 /// maps and ACLs in name order; vectors in their stored order).
 pub fn write_snapshot(snap: &Snapshot) -> String {
     let mut w = W::new(Artifact::Snapshot);
+    write_snapshot_body(&mut w, snap);
+    w.finish()
+}
+
+/// Emits a snapshot's body lines (shared with the checkpoint artifact,
+/// which embeds them between `snapshot inline` and `end-snapshot`).
+pub(crate) fn write_snapshot_body(w: &mut W, snap: &Snapshot) {
     for (name, dc) in &snap.devices {
         w.line(0, &format!("device {}", quote(name)));
         for (ifname, ic) in &dc.interfaces {
@@ -66,7 +73,7 @@ pub fn write_snapshot(snap: &Snapshot) -> String {
         }
         for (name, map) in &dc.route_maps {
             w.line(1, &format!("route-map {}", quote(name)));
-            write_route_map(&mut w, 2, map);
+            write_route_map(w, 2, map);
         }
         for (name, acl) in &dc.acls {
             w.line(1, &format!("acl {}", quote(name)));
@@ -95,7 +102,6 @@ pub fn write_snapshot(snap: &Snapshot) -> String {
             ),
         );
     }
-    w.finish()
 }
 
 /// Parser state: the device section being filled in, plus the sub-section
@@ -130,47 +136,32 @@ impl SnapParser {
             .map(|(_, dc)| dc)
             .ok_or_else(|| perr(line, format!("{kw} outside a device section")))
     }
-}
 
-/// Parses a snapshot artifact. The input must end with the `end`
-/// sentinel; a missing sentinel reports [`IoError::Truncated`].
-pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
-    let mut lines = parse_header(text, Artifact::Snapshot)?;
-    let mut p = SnapParser {
-        snap: Snapshot::default(),
-        cur_device: None,
-        cur_rm: None,
-        cur_acl: None,
-    };
-    while let Some(mut c) = lines.next_cursor()? {
-        let kw = c.word("keyword")?;
+    fn bgp_mut(&mut self, line: usize, kw: &str) -> Result<&mut BgpConfig, IoError> {
+        let bgp = self.device_mut(line, kw)?.bgp.as_mut();
+        bgp.ok_or_else(|| perr(line, format!("{kw} outside a bgp section")))
+    }
+
+    /// One body line of the snapshot grammar.
+    fn line(&mut self, kw: &str, c: &mut Cursor) -> Result<(), IoError> {
         // Route-map clause lines bind tightest; anything else closes the map.
-        if let Some((_, rm)) = p.cur_rm.as_mut() {
-            if rm.try_line(&kw, &mut c)? {
-                c.finish()?;
-                continue;
+        if let Some((_, rm)) = self.cur_rm.as_mut() {
+            if rm.try_line(kw, c)? {
+                return Ok(());
             }
-            p.flush_rm();
+            self.flush_rm();
         }
-        match kw.as_str() {
-            "end" => {
-                c.finish()?;
-                p.flush_device();
-                if let Some(c) = lines.next_cursor()? {
-                    return Err(perr(c.line, "content after end sentinel"));
-                }
-                return Ok(p.snap);
-            }
+        let line = c.line;
+        match kw {
             "device" => {
-                p.flush_device();
+                self.flush_device();
                 let name = c.string("device name")?;
-                if p.snap.devices.contains_key(&name) {
-                    return Err(perr(c.line, format!("duplicate device {name:?}")));
+                if self.snap.devices.contains_key(&name) {
+                    return Err(perr(line, format!("duplicate device {name:?}")));
                 }
-                p.cur_device = Some((name, DeviceConfig::default()));
+                self.cur_device = Some((name, DeviceConfig::default()));
             }
             "iface" => {
-                let line = c.line;
                 let name = c.string("interface name")?;
                 let prefix = c.prefix("interface prefix")?;
                 let addr = c.ip("interface address")?;
@@ -178,35 +169,16 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
                 let acl_in = c.opt_string("ACL name")?;
                 c.expect("acl-out")?;
                 let acl_out = c.opt_string("ACL name")?;
-                c.expect("ospf")?;
-                let ospf = {
-                    let w = c.word("ospf config")?;
-                    if w == "-" {
-                        None
-                    } else {
-                        let cost = w
-                            .parse()
-                            .map_err(|_| perr(line, format!("bad ospf cost {w:?}")))?;
-                        let area = c.parse("ospf area")?;
-                        let mode = c.word("active|passive")?;
-                        let passive = match mode.as_str() {
-                            "active" => false,
-                            "passive" => true,
-                            other => {
-                                return Err(perr(
-                                    line,
-                                    format!("expected active|passive, found {other:?}"),
-                                ))
-                            }
-                        };
-                        Some(OspfIfaceConfig {
-                            cost,
-                            area,
-                            passive,
-                        })
-                    }
+                let cost = c.kv_opt("ospf", "ospf cost", |w| w.parse().ok())?;
+                let ospf = match cost {
+                    None => None,
+                    Some(cost) => Some(OspfIfaceConfig {
+                        cost,
+                        area: c.parse("ospf area")?,
+                        passive: c.choice(&[("active", false), ("passive", true)])?,
+                    }),
                 };
-                let dc = p.device_mut(line, "iface")?;
+                let dc = self.device_mut(line, kw)?;
                 if dc.interfaces.contains_key(&name) {
                     return Err(perr(line, format!("duplicate interface {name:?}")));
                 }
@@ -222,15 +194,13 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
                 );
             }
             "static" => {
-                let line = c.line;
-                let route = parse_static_route(&mut c)?;
-                p.device_mut(line, "static")?.static_routes.push(route);
+                let route = parse_static_route(c)?;
+                self.device_mut(line, kw)?.static_routes.push(route);
             }
             "bgp" => {
-                let line = c.line;
                 let asn = c.parse("AS number")?;
                 let router_id = c.parse("router id")?;
-                let dc = p.device_mut(line, "bgp")?;
+                let dc = self.device_mut(line, kw)?;
                 if dc.bgp.is_some() {
                     return Err(perr(line, "duplicate bgp section"));
                 }
@@ -242,20 +212,13 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
                 });
             }
             "neighbor" => {
-                let line = c.line;
                 let peer = c.ip("peer address")?;
-                c.expect("as")?;
-                let remote_as = c.parse("remote AS")?;
+                let remote_as = c.kv("as", "remote AS")?;
                 c.expect("import")?;
                 let import_policy = c.opt_string("route-map name")?;
                 c.expect("export")?;
                 let export_policy = c.opt_string("route-map name")?;
-                let dc = p.device_mut(line, "neighbor")?;
-                let bgp = dc
-                    .bgp
-                    .as_mut()
-                    .ok_or_else(|| perr(line, "neighbor outside a bgp section"))?;
-                bgp.neighbors.push(BgpNeighbor {
+                self.bgp_mut(line, kw)?.neighbors.push(BgpNeighbor {
                     peer,
                     remote_as,
                     import_policy,
@@ -263,102 +226,105 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
                 });
             }
             "network" => {
-                let line = c.line;
                 let prefix = c.prefix("network prefix")?;
-                let dc = p.device_mut(line, "network")?;
-                let bgp = dc
-                    .bgp
-                    .as_mut()
-                    .ok_or_else(|| perr(line, "network outside a bgp section"))?;
-                bgp.networks.push(prefix);
+                self.bgp_mut(line, kw)?.networks.push(prefix);
             }
             "route-map" => {
-                let line = c.line;
                 let name = c.string("route-map name")?;
-                p.cur_acl = None;
-                let dc = p.device_mut(line, "route-map")?;
-                if dc.route_maps.contains_key(&name) {
+                self.cur_acl = None;
+                if self.device_mut(line, kw)?.route_maps.contains_key(&name) {
                     return Err(perr(line, format!("duplicate route map {name:?}")));
                 }
-                p.cur_rm = Some((name, RouteMapBuilder::new()));
+                self.cur_rm = Some((name, RouteMapBuilder::new()));
             }
             "acl" => {
-                let line = c.line;
                 let name = c.string("ACL name")?;
-                let dc = p.device_mut(line, "acl")?;
+                let dc = self.device_mut(line, kw)?;
                 if dc.acls.contains_key(&name) {
                     return Err(perr(line, format!("duplicate ACL {name:?}")));
                 }
                 dc.acls.insert(name.clone(), Default::default());
-                p.cur_acl = Some(name);
+                self.cur_acl = Some(name);
             }
             "entry" => {
-                let line = c.line;
-                let entry = parse_acl_entry(&mut c)?;
-                let acl_name = p
+                let entry = parse_acl_entry(c)?;
+                let acl_name = self
                     .cur_acl
                     .clone()
                     .ok_or_else(|| perr(line, "entry outside an acl section"))?;
-                let dc = p.device_mut(line, "entry")?;
                 // Preserve file order exactly (serialization order is the
                 // stored order, which `Acl::add` keeps seq-sorted anyway).
-                dc.acls
+                self.device_mut(line, kw)?
+                    .acls
                     .get_mut(&acl_name)
                     .expect("acl created when section opened")
                     .entries
                     .push(entry);
             }
             "link" => {
-                p.flush_device();
-                p.snap.links.push(parse_link(&mut c)?);
+                self.flush_device();
+                self.snap.links.push(parse_link(c)?);
             }
             "down-link" => {
-                p.flush_device();
-                let l = parse_link(&mut c)?;
-                p.snap.environment.down_links.insert(l);
+                self.flush_device();
+                let l = parse_link(c)?;
+                self.snap.environment.down_links.insert(l);
             }
             "down-device" => {
-                p.flush_device();
+                self.flush_device();
                 let d = c.string("device name")?;
-                p.snap.environment.down_devices.insert(d);
+                self.snap.environment.down_devices.insert(d);
             }
             "external" => {
-                p.flush_device();
-                let device = c.string("device")?;
-                let peer = c.ip("peer address")?;
-                let attrs = parse_route_attrs(&mut c)?;
-                p.snap.environment.external_routes.push(ExternalRoute {
-                    device,
-                    peer,
-                    attrs,
+                self.flush_device();
+                self.snap.environment.external_routes.push(ExternalRoute {
+                    device: c.string("device")?,
+                    peer: c.ip("peer address")?,
+                    attrs: parse_route_attrs(c)?,
                 });
             }
-            other => {
-                return Err(perr(c.line, format!("unknown snapshot keyword {other:?}")));
-            }
+            other => return Err(perr(line, format!("unknown snapshot keyword {other:?}"))),
         }
-        c.finish()?;
+        Ok(())
     }
-    Err(IoError::Truncated {
-        expected: "end sentinel of the snapshot artifact".into(),
-    })
+}
+
+/// Parses a snapshot artifact. The input must end with the `end`
+/// sentinel; a missing sentinel reports [`IoError::Truncated`].
+pub fn parse_snapshot(text: &str) -> Result<Snapshot, IoError> {
+    let mut lines = parse_header(text, Artifact::Snapshot)?;
+    parse_snapshot_body(&mut lines, "snapshot", "end")
+}
+
+/// Parses snapshot body lines through `terminator` (`end` for the
+/// artifact itself, `end-snapshot` for a checkpoint's inline block).
+pub(crate) fn parse_snapshot_body(
+    lines: &mut Lines<'_>,
+    what: &str,
+    terminator: &str,
+) -> Result<Snapshot, IoError> {
+    let mut p = SnapParser {
+        snap: Snapshot::default(),
+        cur_device: None,
+        cur_rm: None,
+        cur_acl: None,
+    };
+    lines.body(what, terminator, |kw, c, _| p.line(kw, c))?;
+    p.flush_device();
+    Ok(p.snap)
 }
 
 /// Parses `<prefix> (via <ip> | discard) ad <u8>`.
-pub(crate) fn parse_static_route(c: &mut crate::lex::Cursor) -> Result<StaticRoute, IoError> {
-    let prefix = c.prefix("static prefix")?;
-    let next_hop = parse_next_hop(c)?;
-    c.expect("ad")?;
-    let admin_distance = c.parse("admin distance")?;
+pub(crate) fn parse_static_route(c: &mut Cursor) -> Result<StaticRoute, IoError> {
     Ok(StaticRoute {
-        prefix,
-        next_hop,
-        admin_distance,
+        prefix: c.prefix("static prefix")?,
+        next_hop: parse_next_hop(c)?,
+        admin_distance: c.kv("ad", "admin distance")?,
     })
 }
 
 /// Parses `via <ip>` or `discard`.
-pub(crate) fn parse_next_hop(c: &mut crate::lex::Cursor) -> Result<NextHop, IoError> {
+pub(crate) fn parse_next_hop(c: &mut Cursor) -> Result<NextHop, IoError> {
     let w = c.word("via|discard")?;
     match w.as_str() {
         "via" => Ok(NextHop::Ip(c.ip("next hop address")?)),

@@ -3,11 +3,11 @@
 //! with an optional label (e.g. the scenario kind that generated it).
 
 use crate::codec::{
-    fmt_acl_entry, fmt_link, fmt_opt_str, fmt_route_attrs, parse_acl_entry, parse_header,
-    parse_link, parse_route_attrs, write_route_map, RouteMapBuilder, W,
+    fmt_acl_entry, fmt_label, fmt_link, fmt_opt_str, fmt_route_attrs, parse_acl_entry,
+    parse_header, parse_link, parse_route_attrs, write_route_map, RouteMapBuilder, W,
 };
 use crate::error::{perr, IoError};
-use crate::lex::quote;
+use crate::lex::{quote, Cursor, Lines};
 use crate::snapshot::{fmt_next_hop, fmt_static_route, parse_next_hop, parse_static_route};
 use crate::Artifact;
 use net_model::{Change, ChangeSet, ExternalRoute};
@@ -65,10 +65,7 @@ impl Trace {
 pub fn write_trace(trace: &Trace) -> String {
     let mut w = W::new(Artifact::Trace);
     for ep in &trace.epochs {
-        match &ep.label {
-            None => w.line(0, "epoch"),
-            Some(l) => w.line(0, &format!("epoch label {}", quote(l))),
-        }
+        w.line(0, &format!("epoch{}", fmt_label(&ep.label)));
         for ch in &ep.changes.changes {
             write_change(&mut w, ch);
         }
@@ -172,140 +169,103 @@ fn write_change(w: &mut W, ch: &Change) {
 pub fn parse_trace(text: &str) -> Result<Trace, IoError> {
     let mut lines = parse_header(text, Artifact::Trace)?;
     let mut trace = Trace::default();
-    let mut cur: Option<TraceEpoch> = None;
-    // Pending multi-line SetRouteMap change: (device, name, builder).
-    let mut cur_rm: Option<(String, String, RouteMapBuilder)> = None;
-    while let Some(mut c) = lines.next_cursor()? {
-        let kw = c.word("keyword")?;
-        if let Some((_, _, rm)) = cur_rm.as_mut() {
-            if rm.try_line(&kw, &mut c)? {
-                c.finish()?;
-                continue;
-            }
-            if kw != "end-map" {
-                return Err(perr(
-                    c.line,
-                    format!("expected clause/match/set lines or end-map, found {kw:?}"),
-                ));
-            }
-            let (device, name, rm) = cur_rm.take().expect("checked above");
-            cur.as_mut()
-                .expect("route map inside an epoch")
-                .changes
-                .changes
-                .push(Change::SetRouteMap {
-                    device,
-                    name,
-                    map: rm.finish(),
-                });
-            c.finish()?;
-            continue;
-        }
-        if kw == "end" {
-            c.finish()?;
-            if let Some(ep) = cur.take() {
-                trace.epochs.push(ep);
-            }
-            if let Some(c) = lines.next_cursor()? {
-                return Err(perr(c.line, "content after end sentinel"));
-            }
-            return Ok(trace);
-        }
+    lines.body("trace", "end", |kw, c, lines| {
         if kw == "epoch" {
-            if let Some(ep) = cur.take() {
-                trace.epochs.push(ep);
-            }
-            let label = if c.at_end() {
-                None
-            } else {
-                c.expect("label")?;
-                Some(c.string("epoch label")?)
-            };
-            c.finish()?;
-            cur = Some(TraceEpoch {
-                label,
+            trace.epochs.push(TraceEpoch {
+                label: c.trailing("label", |c| c.string("epoch label"))?,
                 changes: ChangeSet::default(),
             });
-            continue;
+            return Ok(());
         }
-        let line = c.line;
-        let Some(ep) = cur.as_mut() else {
-            return Err(perr(line, format!("{kw} before the first epoch")));
+        let Some(ep) = trace.epochs.last_mut() else {
+            return Err(perr(c.line, format!("{kw} before the first epoch")));
         };
-        let change = match kw.as_str() {
-            "link-down" => Change::LinkDown(parse_link(&mut c)?),
-            "link-up" => Change::LinkUp(parse_link(&mut c)?),
-            "device-down" => Change::DeviceDown(c.string("device")?),
-            "device-up" => Change::DeviceUp(c.string("device")?),
-            "acl-add" => Change::AclEntryAdd {
-                device: c.string("device")?,
-                acl: c.string("ACL name")?,
-                entry: parse_acl_entry(&mut c)?,
-            },
-            "acl-del" => Change::AclEntryRemove {
-                device: c.string("device")?,
-                acl: c.string("ACL name")?,
-                seq: c.parse("entry seq")?,
-            },
-            "set-acl-in" => Change::SetAclIn {
-                device: c.string("device")?,
-                iface: c.string("interface")?,
-                acl: c.opt_string("ACL name")?,
-            },
-            "set-acl-out" => Change::SetAclOut {
-                device: c.string("device")?,
-                iface: c.string("interface")?,
-                acl: c.opt_string("ACL name")?,
-            },
-            "set-route-map" => {
-                let device = c.string("device")?;
-                let name = c.string("route-map name")?;
-                c.finish()?;
-                cur_rm = Some((device, name, RouteMapBuilder::new()));
-                continue;
-            }
-            "static-add" => Change::StaticRouteAdd {
-                device: c.string("device")?,
-                route: parse_static_route(&mut c)?,
-            },
-            "static-del" => Change::StaticRouteRemove {
-                device: c.string("device")?,
-                prefix: c.prefix("static prefix")?,
-                next_hop: parse_next_hop(&mut c)?,
-            },
-            "bgp-net-add" => Change::BgpNetworkAdd {
-                device: c.string("device")?,
-                prefix: c.prefix("network prefix")?,
-            },
-            "bgp-net-del" => Change::BgpNetworkRemove {
-                device: c.string("device")?,
-                prefix: c.prefix("network prefix")?,
-            },
-            "announce" => Change::ExternalAnnounce(ExternalRoute {
-                device: c.string("device")?,
-                peer: c.ip("peer address")?,
-                attrs: parse_route_attrs(&mut c)?,
-            }),
-            "withdraw" => Change::ExternalWithdraw {
-                device: c.string("device")?,
-                peer: c.ip("peer address")?,
-                prefix: c.prefix("withdrawn prefix")?,
-            },
-            "ospf-cost" => Change::SetOspfCost {
-                device: c.string("device")?,
-                iface: c.string("interface")?,
-                cost: c.parse("ospf cost")?,
-            },
-            other => return Err(perr(line, format!("unknown trace keyword {other:?}"))),
-        };
-        ep.changes.changes.push(change);
-        c.finish()?;
-    }
-    Err(IoError::Truncated {
-        expected: if cur_rm.is_some() {
-            "end-map of a set-route-map change".into()
-        } else {
-            "end sentinel of the trace artifact".into()
+        ep.changes.changes.push(parse_change(kw, c, lines)?);
+        Ok(())
+    })?;
+    Ok(trace)
+}
+
+/// Parses one change line (`set-route-map` also consumes its clause
+/// block through `end-map`).
+fn parse_change(kw: &str, c: &mut Cursor, lines: &mut Lines<'_>) -> Result<Change, IoError> {
+    Ok(match kw {
+        "link-down" => Change::LinkDown(parse_link(c)?),
+        "link-up" => Change::LinkUp(parse_link(c)?),
+        "device-down" => Change::DeviceDown(c.string("device")?),
+        "device-up" => Change::DeviceUp(c.string("device")?),
+        "acl-add" => Change::AclEntryAdd {
+            device: c.string("device")?,
+            acl: c.string("ACL name")?,
+            entry: parse_acl_entry(c)?,
         },
+        "acl-del" => Change::AclEntryRemove {
+            device: c.string("device")?,
+            acl: c.string("ACL name")?,
+            seq: c.parse("entry seq")?,
+        },
+        "set-acl-in" => Change::SetAclIn {
+            device: c.string("device")?,
+            iface: c.string("interface")?,
+            acl: c.opt_string("ACL name")?,
+        },
+        "set-acl-out" => Change::SetAclOut {
+            device: c.string("device")?,
+            iface: c.string("interface")?,
+            acl: c.opt_string("ACL name")?,
+        },
+        "set-route-map" => {
+            let device = c.string("device")?;
+            let name = c.string("route-map name")?;
+            c.finish()?;
+            let mut rm = RouteMapBuilder::new();
+            lines.body("set-route-map change", "end-map", |kw, c, _| {
+                if rm.try_line(kw, c)? {
+                    return Ok(());
+                }
+                Err(perr(
+                    c.line,
+                    format!("expected clause/match/set lines or end-map, found {kw:?}"),
+                ))
+            })?;
+            Change::SetRouteMap {
+                device,
+                name,
+                map: rm.finish(),
+            }
+        }
+        "static-add" => Change::StaticRouteAdd {
+            device: c.string("device")?,
+            route: parse_static_route(c)?,
+        },
+        "static-del" => Change::StaticRouteRemove {
+            device: c.string("device")?,
+            prefix: c.prefix("static prefix")?,
+            next_hop: parse_next_hop(c)?,
+        },
+        "bgp-net-add" => Change::BgpNetworkAdd {
+            device: c.string("device")?,
+            prefix: c.prefix("network prefix")?,
+        },
+        "bgp-net-del" => Change::BgpNetworkRemove {
+            device: c.string("device")?,
+            prefix: c.prefix("network prefix")?,
+        },
+        "announce" => Change::ExternalAnnounce(ExternalRoute {
+            device: c.string("device")?,
+            peer: c.ip("peer address")?,
+            attrs: parse_route_attrs(c)?,
+        }),
+        "withdraw" => Change::ExternalWithdraw {
+            device: c.string("device")?,
+            peer: c.ip("peer address")?,
+            prefix: c.prefix("withdrawn prefix")?,
+        },
+        "ospf-cost" => Change::SetOspfCost {
+            device: c.string("device")?,
+            iface: c.string("interface")?,
+            cost: c.parse("ospf cost")?,
+        },
+        other => return Err(perr(c.line, format!("unknown trace keyword {other:?}"))),
     })
 }

@@ -41,6 +41,7 @@
 
 mod env;
 pub mod log;
+mod ring;
 mod span;
 pub mod timeseries;
 

@@ -9,9 +9,8 @@
 //! reported to the operator log the moment they happen.
 
 use crate::log;
-use std::collections::VecDeque;
+use crate::ring::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Spans retained by the process-global recorder.
 pub const DEFAULT_SPAN_CAPACITY: usize = 512;
@@ -44,46 +43,33 @@ pub struct EpochSpan {
 }
 
 /// A bounded, thread-safe ring of [`EpochSpan`]s with a slow-epoch
-/// alarm. One mutex around a `VecDeque`: recording happens once per
-/// epoch (milliseconds apart), never on a per-packet path.
+/// alarm. Recording happens once per epoch (milliseconds apart), never
+/// on a per-packet path.
 pub struct SpanRecorder {
-    enabled: bool,
     slow_threshold_ns: AtomicU64,
-    ring: Mutex<Ring>,
-}
-
-struct Ring {
-    spans: VecDeque<EpochSpan>,
-    capacity: usize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    ring: Ring<EpochSpan>,
 }
 
 impl SpanRecorder {
     /// An enabled recorder retaining the freshest `capacity` spans.
     pub fn new(capacity: usize) -> Self {
         SpanRecorder {
-            enabled: true,
             slow_threshold_ns: AtomicU64::new(0),
-            ring: Mutex::new(Ring {
-                spans: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
+            ring: Ring::new(capacity),
         }
     }
 
     /// A recorder that drops everything (the `DNA_OBS_DISABLED` form).
     pub fn disabled() -> Self {
-        let mut rec = Self::new(1);
-        rec.enabled = false;
-        rec
+        SpanRecorder {
+            slow_threshold_ns: AtomicU64::new(0),
+            ring: Ring::disabled(),
+        }
     }
 
     /// Whether this recorder keeps anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.ring.enabled()
     }
 
     /// Sets the slow-epoch alarm: spans whose `total_ns` meets or
@@ -100,7 +86,7 @@ impl SpanRecorder {
 
     /// Records one epoch span, evicting the oldest beyond capacity.
     pub fn record(&self, span: EpochSpan) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         let threshold = self.slow_threshold_ns();
@@ -123,28 +109,14 @@ impl SpanRecorder {
                 std::time::Duration::from_nanos(span.publish_ns),
             ));
         }
-        let mut ring = lock(&self.ring);
-        if ring.spans.len() == ring.capacity {
-            ring.spans.pop_front();
-        }
-        ring.spans.push_back(span);
+        self.ring.push(span, |_| true);
     }
 
     /// The retained spans, oldest first, optionally filtered to one
     /// session and truncated to the freshest `last`.
     pub fn snapshot(&self, session: Option<&str>, last: Option<usize>) -> Vec<EpochSpan> {
-        let ring = lock(&self.ring);
-        let mut spans: Vec<EpochSpan> = ring
-            .spans
-            .iter()
-            .filter(|s| session.is_none_or(|want| s.session == want))
-            .cloned()
-            .collect();
-        if let Some(n) = last {
-            let skip = spans.len().saturating_sub(n);
-            spans.drain(..skip);
-        }
-        spans
+        let keep = |s: &EpochSpan| session.is_none_or(|want| s.session == want);
+        self.ring.snapshot(last, |s| keep(s).then(|| s.clone()))
     }
 }
 
@@ -167,43 +139,33 @@ pub struct QuerySpan {
 }
 
 /// A bounded, thread-safe ring of [`QuerySpan`]s with a slow-query
-/// alarm — the backing store of the slow-query log. Same shape and
-/// locking story as [`SpanRecorder`]: one mutex, touched once per
-/// answered query.
+/// alarm — the backing store of the slow-query log. Same shape as
+/// [`SpanRecorder`], touched once per answered query.
 pub struct QuerySpanRecorder {
-    enabled: bool,
     slow_threshold_ns: AtomicU64,
-    ring: Mutex<QueryRing>,
-}
-
-struct QueryRing {
-    spans: VecDeque<QuerySpan>,
-    capacity: usize,
+    ring: Ring<QuerySpan>,
 }
 
 impl QuerySpanRecorder {
     /// An enabled recorder retaining the freshest `capacity` spans.
     pub fn new(capacity: usize) -> Self {
         QuerySpanRecorder {
-            enabled: true,
             slow_threshold_ns: AtomicU64::new(0),
-            ring: Mutex::new(QueryRing {
-                spans: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
+            ring: Ring::new(capacity),
         }
     }
 
     /// A recorder that drops everything (the `DNA_OBS_DISABLED` form).
     pub fn disabled() -> Self {
-        let mut rec = Self::new(1);
-        rec.enabled = false;
-        rec
+        QuerySpanRecorder {
+            slow_threshold_ns: AtomicU64::new(0),
+            ring: Ring::disabled(),
+        }
     }
 
     /// Whether this recorder keeps anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.ring.enabled()
     }
 
     /// Sets the slow-query alarm: spans whose `total_ns` meets or
@@ -220,7 +182,7 @@ impl QuerySpanRecorder {
 
     /// Records one query span, evicting the oldest beyond capacity.
     pub fn record(&self, span: QuerySpan) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         let threshold = self.slow_threshold_ns();
@@ -233,28 +195,14 @@ impl QuerySpanRecorder {
                 std::time::Duration::from_nanos(span.total_ns),
             ));
         }
-        let mut ring = lock(&self.ring);
-        if ring.spans.len() == ring.capacity {
-            ring.spans.pop_front();
-        }
-        ring.spans.push_back(span);
+        self.ring.push(span, |_| true);
     }
 
     /// The retained spans, oldest first, optionally filtered to one
     /// session and truncated to the freshest `last`.
     pub fn snapshot(&self, session: Option<&str>, last: Option<usize>) -> Vec<QuerySpan> {
-        let ring = lock(&self.ring);
-        let mut spans: Vec<QuerySpan> = ring
-            .spans
-            .iter()
-            .filter(|s| session.is_none_or(|want| s.session.as_deref() == Some(want)))
-            .cloned()
-            .collect();
-        if let Some(n) = last {
-            let skip = spans.len().saturating_sub(n);
-            spans.drain(..skip);
-        }
-        spans
+        let keep = |s: &QuerySpan| session.is_none_or(|want| s.session.as_deref() == Some(want));
+        self.ring.snapshot(last, |s| keep(s).then(|| s.clone()))
     }
 }
 

@@ -14,9 +14,8 @@
 //! operator derives from history are counter deltas. The live
 //! histogram summary is always one `metrics` query away.
 
+use crate::ring::Ring;
 use crate::{MetricsSnapshot, SeriesValue};
-use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// Samples retained by the process-global history ring. At the default
 /// 15 s cadence this is over an hour of history in a few hundred KB.
@@ -45,45 +44,30 @@ pub struct RateRow {
     pub per_second: f64,
 }
 
-/// A bounded, thread-safe ring of registry [`Sample`]s. Same locking
-/// story as the span rings: one mutex, touched once per tick (seconds
-/// apart), never on a per-epoch or per-query path.
+/// A bounded, thread-safe ring of registry [`Sample`]s, touched once
+/// per tick (seconds apart), never on a per-epoch or per-query path.
 pub struct TimeSeries {
-    enabled: bool,
-    ring: Mutex<SampleRing>,
-}
-
-struct SampleRing {
-    samples: VecDeque<Sample>,
-    capacity: usize,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    ring: Ring<Sample>,
 }
 
 impl TimeSeries {
     /// An enabled ring retaining the freshest `capacity` samples.
     pub fn new(capacity: usize) -> Self {
         TimeSeries {
-            enabled: true,
-            ring: Mutex::new(SampleRing {
-                samples: VecDeque::new(),
-                capacity: capacity.max(1),
-            }),
+            ring: Ring::new(capacity),
         }
     }
 
     /// A ring that drops everything (the `DNA_OBS_DISABLED` form).
     pub fn disabled() -> Self {
-        let mut ts = Self::new(1);
-        ts.enabled = false;
-        ts
+        TimeSeries {
+            ring: Ring::disabled(),
+        }
     }
 
     /// Whether this ring keeps anything.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.ring.enabled()
     }
 
     /// Records one sample of a registry scrape at `t_ms`, evicting the
@@ -91,21 +75,16 @@ impl TimeSeries {
     /// a sample older than the freshest retained one is dropped (the
     /// wire grammar promises non-decreasing timestamps).
     pub fn record(&self, t_ms: u64, snap: &MetricsSnapshot) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
-        let mut ring = lock(&self.ring);
-        if ring.samples.back().is_some_and(|s| s.t_ms > t_ms) {
-            return;
-        }
-        if ring.samples.len() == ring.capacity {
-            ring.samples.pop_front();
-        }
-        ring.samples.push_back(Sample {
+        let sample = Sample {
             t_ms,
             counters: snap.counters.clone(),
             gauges: snap.gauges.clone(),
-        });
+        };
+        self.ring
+            .push(sample, |freshest| freshest.is_none_or(|s| s.t_ms <= t_ms));
     }
 
     /// The retained samples, oldest first, optionally filtered to one
@@ -113,30 +92,22 @@ impl TimeSeries {
     /// like a scoped `metrics` scrape) and truncated to the freshest
     /// `last` samples.
     pub fn snapshot(&self, session: Option<&str>, last: Option<usize>) -> Vec<Sample> {
-        let ring = lock(&self.ring);
         let keep = |s: &SeriesValue| match (session, &s.session) {
             (None, _) | (_, None) => true,
             (Some(want), Some(have)) => want == have,
         };
-        let mut samples: Vec<Sample> = ring
-            .samples
-            .iter()
-            .map(|s| Sample {
+        self.ring.snapshot(last, |s| {
+            Some(Sample {
                 t_ms: s.t_ms,
                 counters: s.counters.iter().filter(|r| keep(r)).cloned().collect(),
                 gauges: s.gauges.iter().filter(|r| keep(r)).cloned().collect(),
             })
-            .collect();
-        if let Some(n) = last {
-            let skip = samples.len().saturating_sub(n);
-            samples.drain(..skip);
-        }
-        samples
+        })
     }
 
     /// Retained sample count.
     pub fn len(&self) -> usize {
-        lock(&self.ring).samples.len()
+        self.ring.len()
     }
 
     /// Whether the ring holds no samples yet.
