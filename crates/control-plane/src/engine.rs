@@ -2,7 +2,7 @@
 //! rules program that tracks a snapshot mirror and turns [`ChangeSet`]s
 //! into incremental RIB/FIB deltas.
 
-use crate::relations::{change_deltas, shard_facts, snapshot_facts, Fact};
+use crate::relations::{device_set_facts, shard_facts, snapshot_facts, Fact};
 use crate::rules::{build_program, CpHandles};
 use crate::types::{FibEntry, RibEntry};
 use ddflow::{CommitStats, Config, DdError, Diff, Runtime};
@@ -133,23 +133,23 @@ impl CpEngine {
     /// Changes are validated against the evolving snapshot first; on error
     /// nothing is applied.
     pub fn apply(&mut self, changes: &ChangeSet) -> Result<CpDelta, CpError> {
-        // One snapshot clone per epoch: the mirror advances in place while
-        // fact deltas are staged into a local buffer, so an invalid change
-        // aborts before anything reaches the runtime and the engine stays
-        // untouched. (`change_deltas` is total — unknown references yield
-        // no deltas — so staging before validation is safe; a later error
-        // simply discards the staged rows. The old path cloned the full
-        // snapshot once for validation plus once per change.)
+        // The input delta is a state difference: the facts anchored at the
+        // devices this epoch names, retracted as they stand before and
+        // asserted as they stand after. `commit` consolidates the input,
+        // so rows the epoch did not change cancel. The changes advance a
+        // staging mirror (one snapshot clone per epoch), so an invalid
+        // change aborts before anything reaches the runtime and the
+        // engine stays untouched.
+        let named = changes.devices();
+        let before = device_set_facts(&self.snapshot, &named);
         let mut mirror = self.snapshot.clone();
-        let mut staged = Vec::new();
         for change in &changes.changes {
-            // Deltas are evaluated against the pre-change mirror state.
-            staged.extend(change_deltas(&mirror, change));
             change.apply_to(&mut mirror)?;
         }
-        for (rel, row, diff) in staged {
-            let h = self.handles.inputs[rel];
-            self.runtime.update(h, row, diff);
+        let after = device_set_facts(&mirror, &named);
+        let rows = before.into_iter().map(|f| (f, -1));
+        for ((rel, row), diff) in rows.chain(after.into_iter().map(|f| (f, 1))) {
+            self.runtime.update(self.handles.inputs[rel], row, diff);
         }
         let stats = self.runtime.commit()?;
         self.snapshot = mirror;

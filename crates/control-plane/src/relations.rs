@@ -1,14 +1,19 @@
 //! Input relations of the differential control-plane program.
 //!
-//! [`snapshot_facts`] translates a snapshot into base facts;
-//! [`change_deltas`] translates a single [`Change`] into fact deltas
-//! *without* touching unrelated facts — this locality is what makes the
-//! differential pipeline's input cost proportional to the change, not the
-//! network.
+//! [`device_set_facts`] is the one encoder from snapshot state to base
+//! facts: every fact is anchored at one device, and the encoder emits the
+//! facts anchored at a given device set. [`snapshot_facts`] (all devices)
+//! and [`shard_facts`] (one shard's devices) seed the program; an epoch's
+//! input delta is `facts(after) − facts(before)` over the devices the
+//! epoch names ([`net_model::ChangeSet::devices`]). Locality is what makes
+//! the differential pipeline's input cost proportional to the change, not
+//! the network — and because the delta is a state difference, no change
+//! kind needs a hand-written translation.
 
 use crate::encode::{enc_addr, enc_attrs, enc_prefix, enc_route_map};
-use ddflow::{Diff, Value};
-use net_model::{Change, Link, NextHop, Snapshot};
+use ddflow::Value;
+use net_model::{Link, NextHop, Snapshot};
+use std::collections::BTreeSet;
 
 /// Names of all input relations, in a stable order.
 pub const RELATIONS: &[&str] = &[
@@ -27,8 +32,6 @@ pub const RELATIONS: &[&str] = &[
 
 /// One fact: `(relation name, row)`.
 pub type Fact = (&'static str, Value);
-/// One delta: `(relation name, row, diff)`.
-pub type FactDelta = (&'static str, Value, Diff);
 
 fn enc_opt_name(n: &Option<String>) -> Value {
     match n {
@@ -55,37 +58,65 @@ fn link_row(l: &Link) -> Value {
 
 /// All base facts of a snapshot.
 pub fn snapshot_facts(snap: &Snapshot) -> Vec<Fact> {
-    let mut out: Vec<Fact> = Vec::new();
-    for (dev, dc) in &snap.devices {
-        device_facts(dev, dc, &mut out);
-    }
-    environment_facts(snap, |_| true, &mut out);
-    out
+    device_set_facts(snap, &snap.devices.keys().map(String::as_str).collect())
 }
 
-/// The base facts of one shard: device-local facts of the shard's
-/// devices plus the shard-owned slice of the global environment (a link
-/// or external route is owned by its anchoring device's shard). The
-/// concatenation of every shard's facts is a permutation of
-/// [`snapshot_facts`] — the property the sharded bring-up relies on,
-/// pinned by `sharded_facts_are_a_partition_of_snapshot_facts`.
+/// The base facts of one shard: the facts anchored at the devices
+/// `plan` assigns to it ([`net_model::ShardPlan::owner_of`], so shard 0
+/// adopts devices no group claims and a hand-built partial plan still
+/// yields the full fact multiset). The concatenation of every shard's
+/// facts is a permutation of [`snapshot_facts`] — the property the
+/// sharded bring-up relies on, pinned by
+/// `sharded_facts_are_a_partition_of_snapshot_facts`.
 pub fn shard_facts(snap: &Snapshot, plan: &net_model::ShardPlan, shard: usize) -> Vec<Fact> {
+    let devices = snap
+        .devices
+        .keys()
+        .map(String::as_str)
+        .filter(|d| plan.owner_of(d) == shard)
+        .collect();
+    device_set_facts(snap, &devices)
+}
+
+/// The base facts anchored at `devices` — the one fact encoder. Every
+/// fact has exactly one anchoring device: a device's configuration rows
+/// anchor at it, links and down-links at their `a` endpoint, failures and
+/// external routes at their device. Rows anchored at a name that is not
+/// one of the snapshot's devices are not encoded: a valid snapshot links
+/// no such name ([`Snapshot::validate`]), and a failure or external route
+/// there joins nothing.
+///
+/// A change set can only alter facts anchored at the devices it names
+/// ([`net_model::ChangeSet::devices`]), so an epoch's input delta is
+/// `device_set_facts(after, D) − device_set_facts(before, D)`.
+pub fn device_set_facts(snap: &Snapshot, devices: &BTreeSet<&str>) -> Vec<Fact> {
     let mut out: Vec<Fact> = Vec::new();
-    for dev in &plan.groups()[shard] {
+    for &dev in devices {
         if let Some(dc) = snap.devices.get(dev) {
             device_facts(dev, dc, &mut out);
         }
     }
-    // Shard 0 adopts devices no group claims (mirroring
-    // `ShardPlan::owner_of`'s fallback), so a hand-built partial plan
-    // still yields the full fact multiset instead of a silently
-    // incomplete engine.
-    if shard == 0 {
-        for (dev, dc) in snap.devices.iter().filter(|(d, _)| !plan.owns(d)) {
-            device_facts(dev, dc, &mut out);
-        }
+    let env = &snap.environment;
+    let named = |d: &str| devices.contains(d);
+    for l in snap.links.iter().filter(|l| named(&l.a.device)) {
+        out.push(("link", link_row(l)));
     }
-    environment_facts(snap, |anchor| plan.owner_of(anchor) == shard, &mut out);
+    for l in env.down_links.iter().filter(|l| named(&l.a.device)) {
+        out.push(("down_link", link_row(l)));
+    }
+    for d in env.down_devices.iter().filter(|d| named(d)) {
+        out.push(("down_device", Value::str(d)));
+    }
+    for e in env.external_routes.iter().filter(|e| named(&e.device)) {
+        out.push((
+            "external_route",
+            Value::tuple(vec![
+                Value::str(&e.device),
+                enc_addr(e.peer),
+                enc_attrs(&e.attrs),
+            ]),
+        ));
+    }
     out
 }
 
@@ -161,236 +192,10 @@ fn device_facts(dev: &str, dc: &net_model::DeviceConfig, out: &mut Vec<Fact>) {
     }
 }
 
-/// Global (non-device-config) facts whose anchoring device satisfies
-/// `owned` — links and down-links anchor at their `a` endpoint,
-/// failures and external routes at their device.
-fn environment_facts(snap: &Snapshot, owned: impl Fn(&str) -> bool, out: &mut Vec<Fact>) {
-    for l in snap.links.iter().filter(|l| owned(&l.a.device)) {
-        out.push(("link", link_row(l)));
-    }
-    for l in snap
-        .environment
-        .down_links
-        .iter()
-        .filter(|l| owned(&l.a.device))
-    {
-        out.push(("down_link", link_row(l)));
-    }
-    for d in snap
-        .environment
-        .down_devices
-        .iter()
-        .filter(|d| owned(d.as_str()))
-    {
-        out.push(("down_device", Value::str(d)));
-    }
-    for e in snap
-        .environment
-        .external_routes
-        .iter()
-        .filter(|e| owned(&e.device))
-    {
-        out.push((
-            "external_route",
-            Value::tuple(vec![
-                Value::str(&e.device),
-                enc_addr(e.peer),
-                enc_attrs(&e.attrs),
-            ]),
-        ));
-    }
-}
-
-/// Fact deltas for one change, evaluated against the pre-change snapshot.
-/// Control-plane relations only; ACL/interface-binding changes affect the
-/// data-plane stage and yield no deltas here.
-///
-/// The caller must have verified the change applies cleanly (see
-/// [`net_model::ChangeSet::apply`]); unknown references yield no deltas.
-pub fn change_deltas(before: &Snapshot, change: &Change) -> Vec<FactDelta> {
-    let mut out: Vec<FactDelta> = Vec::new();
-    match change {
-        Change::LinkDown(l) => {
-            if before.links.contains(l) && !before.environment.down_links.contains(l) {
-                out.push(("down_link", link_row(l), 1));
-            }
-        }
-        Change::LinkUp(l) => {
-            if before.environment.down_links.contains(l) {
-                out.push(("down_link", link_row(l), -1));
-            }
-        }
-        Change::DeviceDown(d) => {
-            if before.devices.contains_key(d) && !before.environment.down_devices.contains(d) {
-                out.push(("down_device", Value::str(d), 1));
-            }
-        }
-        Change::DeviceUp(d) => {
-            if before.environment.down_devices.contains(d) {
-                out.push(("down_device", Value::str(d), -1));
-            }
-        }
-        Change::SetRouteMap { device, name, map } => {
-            if let Some(dc) = before.devices.get(device) {
-                let new_row = Value::tuple(vec![
-                    Value::str(device),
-                    Value::str(name),
-                    enc_route_map(map),
-                ]);
-                if let Some(old) = dc.route_maps.get(name) {
-                    let old_row = Value::tuple(vec![
-                        Value::str(device),
-                        Value::str(name),
-                        enc_route_map(old),
-                    ]);
-                    if old_row == new_row {
-                        return out; // no-op edit
-                    }
-                    out.push(("route_map", old_row, -1));
-                }
-                out.push(("route_map", new_row, 1));
-            }
-        }
-        Change::StaticRouteAdd { device, route } => {
-            if before.devices.contains_key(device) {
-                out.push((
-                    "static_route",
-                    Value::tuple(vec![
-                        Value::str(device),
-                        enc_prefix(route.prefix),
-                        enc_next_hop(&route.next_hop),
-                        Value::U32(route.admin_distance as u32),
-                    ]),
-                    1,
-                ));
-            }
-        }
-        Change::StaticRouteRemove {
-            device,
-            prefix,
-            next_hop,
-        } => {
-            if let Some(dc) = before.devices.get(device) {
-                if let Some(r) = dc
-                    .static_routes
-                    .iter()
-                    .find(|r| r.prefix == *prefix && r.next_hop == *next_hop)
-                {
-                    out.push((
-                        "static_route",
-                        Value::tuple(vec![
-                            Value::str(device),
-                            enc_prefix(r.prefix),
-                            enc_next_hop(&r.next_hop),
-                            Value::U32(r.admin_distance as u32),
-                        ]),
-                        -1,
-                    ));
-                }
-            }
-        }
-        Change::BgpNetworkAdd { device, prefix } => {
-            if let Some(dc) = before.devices.get(device) {
-                if let Some(bgp) = &dc.bgp {
-                    if !bgp.networks.contains(prefix) {
-                        out.push((
-                            "bgp_network",
-                            Value::tuple(vec![Value::str(device), enc_prefix(*prefix)]),
-                            1,
-                        ));
-                    }
-                }
-            }
-        }
-        Change::BgpNetworkRemove { device, prefix } => {
-            if let Some(dc) = before.devices.get(device) {
-                if let Some(bgp) = &dc.bgp {
-                    if bgp.networks.contains(prefix) {
-                        out.push((
-                            "bgp_network",
-                            Value::tuple(vec![Value::str(device), enc_prefix(*prefix)]),
-                            -1,
-                        ));
-                    }
-                }
-            }
-        }
-        Change::ExternalAnnounce(e) => {
-            if before.devices.contains_key(&e.device) {
-                out.push((
-                    "external_route",
-                    Value::tuple(vec![
-                        Value::str(&e.device),
-                        enc_addr(e.peer),
-                        enc_attrs(&e.attrs),
-                    ]),
-                    1,
-                ));
-            }
-        }
-        Change::ExternalWithdraw {
-            device,
-            peer,
-            prefix,
-        } => {
-            if let Some(e) = before
-                .environment
-                .external_routes
-                .iter()
-                .find(|e| e.device == *device && e.peer == *peer && e.attrs.prefix == *prefix)
-            {
-                out.push((
-                    "external_route",
-                    Value::tuple(vec![
-                        Value::str(&e.device),
-                        enc_addr(e.peer),
-                        enc_attrs(&e.attrs),
-                    ]),
-                    -1,
-                ));
-            }
-        }
-        Change::SetOspfCost {
-            device,
-            iface,
-            cost,
-        } => {
-            if let Some(o) = before
-                .devices
-                .get(device)
-                .and_then(|dc| dc.interfaces.get(iface))
-                .and_then(|ic| ic.ospf.as_ref())
-            {
-                if o.cost != *cost {
-                    let row = |c: u32| {
-                        Value::tuple(vec![
-                            Value::str(device),
-                            Value::str(iface),
-                            Value::U32(c),
-                            Value::U32(o.area),
-                            Value::Bool(o.passive),
-                        ])
-                    };
-                    out.push(("ospf_iface", row(o.cost), -1));
-                    out.push(("ospf_iface", row(*cost), 1));
-                }
-            }
-        }
-        // Data-plane-only changes: no control-plane fact deltas.
-        Change::AclEntryAdd { .. }
-        | Change::AclEntryRemove { .. }
-        | Change::SetAclIn { .. }
-        | Change::SetAclOut { .. } => {}
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use net_model::{
-        ip, pfx, ChangeSet, DeviceConfig, Endpoint, IfaceConfig, RouteMap, StaticRoute,
-    };
+    use net_model::{ip, DeviceConfig, Endpoint, IfaceConfig, RouteMap};
 
     fn snapshot() -> Snapshot {
         let mut snap = Snapshot::default();
@@ -412,35 +217,6 @@ mod tests {
         snap
     }
 
-    /// Deltas must agree with the fact-set difference of applying the
-    /// change — the soundness property of the translator.
-    fn assert_delta_consistent(snap: &Snapshot, change: Change) {
-        let after = ChangeSet::single(change.clone()).apply(snap).unwrap();
-        let mut expected: Vec<(String, Value, Diff)> = Vec::new();
-        let before_facts = snapshot_facts(snap);
-        let after_facts = snapshot_facts(&after);
-        use std::collections::HashMap;
-        let mut counts: HashMap<(String, Value), Diff> = HashMap::new();
-        for (r, v) in &after_facts {
-            *counts.entry((r.to_string(), v.clone())).or_insert(0) += 1;
-        }
-        for (r, v) in &before_facts {
-            *counts.entry((r.to_string(), v.clone())).or_insert(0) -= 1;
-        }
-        for ((r, v), d) in counts {
-            if d != 0 {
-                expected.push((r, v, d));
-            }
-        }
-        expected.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        let mut got: Vec<(String, Value, Diff)> = change_deltas(snap, &change)
-            .into_iter()
-            .map(|(r, v, d)| (r.to_string(), v, d))
-            .collect();
-        got.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        assert_eq!(got, expected, "deltas diverge for {change}");
-    }
-
     #[test]
     fn snapshot_facts_cover_all_relations_present() {
         let snap = snapshot();
@@ -452,70 +228,6 @@ mod tests {
         assert!(rels.contains("route_map"));
         // 3 ifaces? two ifaces, one link, one ospf, one route map.
         assert_eq!(facts.iter().filter(|(r, _)| *r == "iface").count(), 2);
-    }
-
-    #[test]
-    fn deltas_match_fact_diff_for_every_change_kind() {
-        let snap = snapshot();
-        let link = snap.links[0].clone();
-        assert_delta_consistent(&snap, Change::LinkDown(link.clone()));
-        assert_delta_consistent(&snap, Change::DeviceDown("r2".into()));
-        assert_delta_consistent(
-            &snap,
-            Change::StaticRouteAdd {
-                device: "r1".into(),
-                route: StaticRoute {
-                    prefix: pfx("0.0.0.0/0"),
-                    next_hop: NextHop::Ip(ip("10.0.0.0")),
-                    admin_distance: 1,
-                },
-            },
-        );
-        assert_delta_consistent(
-            &snap,
-            Change::SetOspfCost {
-                device: "r1".into(),
-                iface: "eth0".into(),
-                cost: 44,
-            },
-        );
-        assert_delta_consistent(
-            &snap,
-            Change::SetRouteMap {
-                device: "r1".into(),
-                name: "rm".into(),
-                map: RouteMap::default(),
-            },
-        );
-        assert_delta_consistent(
-            &snap,
-            Change::SetRouteMap {
-                device: "r1".into(),
-                name: "fresh".into(),
-                map: RouteMap::permit_all(),
-            },
-        );
-    }
-
-    #[test]
-    fn redundant_changes_produce_no_deltas() {
-        let mut snap = snapshot();
-        let link = snap.links[0].clone();
-        snap.environment.down_links.insert(link.clone());
-        // Already down: down again is a no-op.
-        assert!(change_deltas(&snap, &Change::LinkDown(link.clone())).is_empty());
-        // Up produces exactly one retraction.
-        assert_eq!(change_deltas(&snap, &Change::LinkUp(link)).len(), 1);
-        // Identical route-map replacement is a no-op.
-        assert!(change_deltas(
-            &snap,
-            &Change::SetRouteMap {
-                device: "r1".into(),
-                name: "rm".into(),
-                map: RouteMap::permit_all(),
-            }
-        )
-        .is_empty());
     }
 
     #[test]
@@ -548,19 +260,5 @@ mod tests {
             .collect();
         got.sort_by_key(sort_key);
         assert_eq!(got, expected, "partial plan must not drop device facts");
-    }
-
-    #[test]
-    fn acl_changes_yield_no_control_plane_deltas() {
-        let snap = snapshot();
-        assert!(change_deltas(
-            &snap,
-            &Change::SetAclIn {
-                device: "r1".into(),
-                iface: "eth0".into(),
-                acl: Some("x".into()),
-            }
-        )
-        .is_empty());
     }
 }

@@ -7,9 +7,9 @@
 //! *exactly which flows behave differently after this change?*
 
 use control_plane::{CpEngine, CpError, FibEntry, RibEntry};
-use data_plane::{DataPlane, Dir, DpUpdate, FilterChange, Outcome, ReachDelta};
+use data_plane::{filter_bindings, filter_diff, DataPlane, DpUpdate, Outcome, ReachDelta};
 use ddflow::Diff;
-use net_model::{Change, ChangeSet, Flow, ShardPlan, Snapshot};
+use net_model::{ChangeSet, Flow, ShardPlan, Snapshot};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -137,22 +137,28 @@ impl DiffEngine {
     /// changed. On error nothing is applied.
     pub fn apply(&mut self, changes: &ChangeSet) -> Result<BehaviorDiff, DnaError> {
         let t0 = Instant::now();
+        // Both stages consume the same state difference over the devices
+        // the epoch names: the control plane diffs their facts, the data
+        // plane their resolved filter bindings (read here, before the
+        // control plane advances the snapshot).
+        let named = changes.devices();
+        let before = filter_bindings(self.cp.snapshot(), &named);
         let cp_delta = self.cp.apply(changes)?;
         let cp_time = t0.elapsed();
         let t1 = Instant::now();
-        let filters = filter_changes(self.cp.snapshot(), changes);
+        let update = DpUpdate {
+            fib: cp_delta.fib,
+            filters: filter_diff(before, filter_bindings(self.cp.snapshot(), &named)),
+        };
         // Deferred release keeps retiring atoms alive (and the partition at
         // its finest) until the deltas are decorated; see `apply_deferred`.
-        let (reach, pending) = self.dp.apply_deferred(&DpUpdate {
-            fib: cp_delta.fib.clone(),
-            filters,
-        });
+        let (reach, pending) = self.dp.apply_deferred(&update);
         let dp_time = t1.elapsed();
         let flows = self.decorate(reach);
         self.dp.finish_update(pending);
         Ok(BehaviorDiff {
             rib: cp_delta.rib,
-            fib: cp_delta.fib,
+            fib: update.fib,
             stats: DiffStats {
                 cp_time,
                 dp_time,
@@ -270,76 +276,4 @@ impl EngineView {
     pub fn state_size(&self) -> (usize, usize, usize) {
         self.state
     }
-}
-
-/// Maps ACL-affecting changes to resolved filter rebindings, evaluated
-/// against the post-change snapshot (CP changes were already translated by
-/// the control-plane stage; this covers the data-plane-only taxonomy).
-fn filter_changes(after: &Snapshot, changes: &ChangeSet) -> Vec<FilterChange> {
-    let mut out: Vec<FilterChange> = Vec::new();
-    fn push_bindings_of_acl(
-        out: &mut Vec<FilterChange>,
-        after: &Snapshot,
-        device: &String,
-        acl_name: &String,
-    ) {
-        let Some(dc) = after.devices.get(device) else {
-            return;
-        };
-        let contents = dc.acls.get(acl_name).cloned().unwrap_or_default();
-        for (ifname, ic) in &dc.interfaces {
-            for (dir, bound) in [(Dir::In, &ic.acl_in), (Dir::Out, &ic.acl_out)] {
-                if bound.as_deref() == Some(acl_name.as_str()) {
-                    out.push(FilterChange {
-                        device: device.clone(),
-                        iface: ifname.clone(),
-                        dir,
-                        acl: Some(contents.clone()),
-                    });
-                }
-            }
-        }
-    }
-    for change in &changes.changes {
-        match change {
-            Change::AclEntryAdd { device, acl, .. }
-            | Change::AclEntryRemove { device, acl, .. } => {
-                push_bindings_of_acl(&mut out, after, device, acl);
-            }
-            Change::SetAclIn { device, iface, acl } => {
-                let contents = acl.as_ref().map(|name| {
-                    after
-                        .devices
-                        .get(device)
-                        .and_then(|dc| dc.acls.get(name))
-                        .cloned()
-                        .unwrap_or_default()
-                });
-                out.push(FilterChange {
-                    device: device.clone(),
-                    iface: iface.clone(),
-                    dir: Dir::In,
-                    acl: contents,
-                });
-            }
-            Change::SetAclOut { device, iface, acl } => {
-                let contents = acl.as_ref().map(|name| {
-                    after
-                        .devices
-                        .get(device)
-                        .and_then(|dc| dc.acls.get(name))
-                        .cloned()
-                        .unwrap_or_default()
-                });
-                out.push(FilterChange {
-                    device: device.clone(),
-                    iface: iface.clone(),
-                    dir: Dir::Out,
-                    acl: contents,
-                });
-            }
-            _ => {}
-        }
-    }
-    out
 }

@@ -28,6 +28,6 @@ pub mod verify;
 pub use atoms::{AtomChange, AtomId, AtomRegistry, PredId};
 pub use pset::{FrozenPsets, Pset, PsetArena, EMPTY, FULL};
 pub use verify::{
-    compile_acl, DataPlane, Dir, DpUpdate, FilterChange, Outcome, PendingReleases, ReachDelta,
-    ReachView,
+    compile_acl, filter_bindings, filter_diff, DataPlane, Dir, DpUpdate, FilterBindings,
+    FilterChange, Outcome, PendingReleases, ReachDelta, ReachView,
 };

@@ -66,6 +66,53 @@ pub struct FilterChange {
     pub acl: Option<Acl>,
 }
 
+/// Resolved interface filters keyed by `(device, iface, direction)`: the
+/// ACL contents each bound name resolves to (a name the device does not
+/// define resolves to the empty ACL, i.e. deny-all).
+pub type FilterBindings = BTreeMap<(String, String, Dir), Acl>;
+
+/// The resolved filter bindings of the interfaces of `devices` in
+/// `snapshot`.
+pub fn filter_bindings(snapshot: &Snapshot, devices: &BTreeSet<&str>) -> FilterBindings {
+    let mut out = FilterBindings::new();
+    for &dev in devices {
+        let Some(dc) = snapshot.devices.get(dev) else {
+            continue;
+        };
+        for (ifname, ic) in &dc.interfaces {
+            for (dir, name) in [(Dir::In, &ic.acl_in), (Dir::Out, &ic.acl_out)] {
+                if let Some(name) = name {
+                    let acl = dc.acls.get(name).cloned().unwrap_or_default();
+                    out.insert((dev.to_string(), ifname.clone(), dir), acl);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The filter rebindings that take a verifier from `before` to `after`:
+/// one [`FilterChange`] per interface direction whose resolved contents
+/// differ (`None` where a binding went away). Interfaces whose filter
+/// did not change — including ones rebound to the ACL they already had —
+/// yield nothing, so only the end state's predicates are ever registered.
+pub fn filter_diff(mut before: FilterBindings, after: FilterBindings) -> Vec<FilterChange> {
+    let change = |(device, iface, dir): (String, String, Dir), acl| FilterChange {
+        device,
+        iface,
+        dir,
+        acl,
+    };
+    let mut out = Vec::new();
+    for (key, acl) in after {
+        if before.remove(&key).as_ref() != Some(&acl) {
+            out.push(change(key, Some(acl)));
+        }
+    }
+    out.extend(before.into_keys().map(|key| change(key, None)));
+    out
+}
+
 /// A batch of data-plane updates.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DpUpdate {
@@ -206,23 +253,12 @@ impl DataPlane {
             let map = dp.compute_reach(atom);
             dp.reach.insert(atom, map);
         }
-        // Initial ACL bindings.
-        let mut update = DpUpdate::default();
-        for (dev, dc) in &snapshot.devices {
-            for (ifname, ic) in &dc.interfaces {
-                for (dir, name) in [(Dir::In, &ic.acl_in), (Dir::Out, &ic.acl_out)] {
-                    if let Some(name) = name {
-                        let acl = dc.acls.get(name).cloned().unwrap_or_default();
-                        update.filters.push(FilterChange {
-                            device: dev.clone(),
-                            iface: ifname.clone(),
-                            dir,
-                            acl: Some(acl),
-                        });
-                    }
-                }
-            }
-        }
+        // Initial ACL bindings: the rebindings from no filters at all.
+        let every = snapshot.devices.keys().map(String::as_str).collect();
+        let update = DpUpdate {
+            fib: Vec::new(),
+            filters: filter_diff(FilterBindings::new(), filter_bindings(snapshot, &every)),
+        };
         dp.apply(&update);
         dp
     }

@@ -4,8 +4,10 @@
 //! usual operational taxonomy: link/device failures and recoveries, ACL
 //! edits, route-map edits, static route edits, BGP origination changes and
 //! external announcement churn. [`ChangeSet::apply`] produces the modified
-//! snapshot; the differential engine instead translates the same changes
-//! into input-relation deltas.
+//! snapshot. The differential engine never interprets a change kind: its
+//! input delta for an epoch is `facts(after) − facts(before)` restricted to
+//! [`ChangeSet::devices`], the devices the epoch names. A change kind is
+//! therefore fully defined by how it applies and which device it names.
 
 use crate::acl::AclEntry;
 use crate::config::{NextHop, StaticRoute};
@@ -13,6 +15,7 @@ use crate::ip::{Ipv4Addr, Ipv4Prefix};
 use crate::route::RouteMap;
 use crate::snapshot::{ExternalRoute, Link, Snapshot};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One primitive configuration or environment change.
@@ -249,6 +252,14 @@ impl ChangeSet {
         self.changes.is_empty()
     }
 
+    /// The devices this set names, sorted and deduplicated: each change
+    /// names the device its effect is anchored at. Applying the set can
+    /// alter only state anchored at these devices, so an engine's input
+    /// delta is the before/after difference of their state alone.
+    pub fn devices(&self) -> BTreeSet<&str> {
+        self.changes.iter().map(Change::device).collect()
+    }
+
     /// Applies all changes to a copy of the snapshot, returning the modified
     /// snapshot. Fails (without partial effects visible to the caller) if
     /// any change references a missing element.
@@ -270,6 +281,30 @@ impl Change {
     /// at a time without cloning the whole snapshot per change.
     pub fn apply_to(&self, snap: &mut Snapshot) -> Result<(), ApplyError> {
         apply_one(snap, self)
+    }
+
+    /// The device this change's effect is anchored at: the edited
+    /// device, a failed or recovered device, the device hearing an
+    /// external route, or a link's first endpoint `a.device` (links and
+    /// link failures are owned by their canonical first endpoint).
+    fn device(&self) -> &str {
+        match self {
+            Change::LinkDown(l) | Change::LinkUp(l) => &l.a.device,
+            Change::ExternalAnnounce(e) => &e.device,
+            Change::DeviceDown(device)
+            | Change::DeviceUp(device)
+            | Change::AclEntryAdd { device, .. }
+            | Change::AclEntryRemove { device, .. }
+            | Change::SetAclIn { device, .. }
+            | Change::SetAclOut { device, .. }
+            | Change::SetRouteMap { device, .. }
+            | Change::StaticRouteAdd { device, .. }
+            | Change::StaticRouteRemove { device, .. }
+            | Change::BgpNetworkAdd { device, .. }
+            | Change::BgpNetworkRemove { device, .. }
+            | Change::ExternalWithdraw { device, .. }
+            | Change::SetOspfCost { device, .. } => device,
+        }
     }
 }
 
@@ -590,6 +625,23 @@ mod tests {
                 .cost,
             77
         );
+    }
+
+    #[test]
+    fn devices_are_the_sorted_deduplicated_anchors() {
+        let snap = snapshot();
+        // A link is anchored at its canonical first endpoint, r1.
+        let cs = ChangeSet::of(vec![
+            Change::DeviceDown("r2".into()),
+            Change::LinkDown(snap.links[0].clone()),
+            Change::SetAclIn {
+                device: "r2".into(),
+                iface: "eth0".into(),
+                acl: None,
+            },
+        ]);
+        assert_eq!(cs.devices().into_iter().collect::<Vec<_>>(), ["r1", "r2"]);
+        assert!(ChangeSet::default().devices().is_empty());
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl ShardPlan {
     pub fn owner_of(&self, device: &str) -> usize {
         self.owner.get(device).copied().unwrap_or(0)
     }
-
-    /// Whether some group explicitly claims `device` (false for the
-    /// devices [`ShardPlan::owner_of`] covers only by fallback).
-    pub fn owns(&self, device: &str) -> bool {
-        self.owner.contains_key(device)
-    }
 }
 
 #[cfg(test)]

@@ -1018,20 +1018,20 @@ mod tests {
         // Shape 1 — single commands: the clean ingest ahead of the
         // poison applies; the poison trips the fence; the one behind
         // it meets the fence already up.
-        let single = wreck("fence-shape-single", 0);
+        let single = wreck("wreck-single", 0);
         assert!(matches!(single[0], Response::Loaded { .. }), "{single:?}");
         assert!(
             matches!(single[1], Response::Ingested { epochs: 1, .. }),
             "{single:?}"
         );
-        assert_eq!(single[2..], vec![failure("fence-shape-single"); 2]);
+        assert_eq!(single[2..], vec![failure("wreck-single"); 2]);
 
         // Shape 2 — a drained batch: the first ingest finds the other
         // two queued behind it and the three ride one batch, so the
         // panic fails all three clients — including the clean ingest
         // *ahead* of the poison, which proves the batch path ran.
-        let batch = wreck("fence-shape-batch", 4);
+        let batch = wreck("wreck-batch", 4);
         assert!(matches!(batch[0], Response::Loaded { .. }), "{batch:?}");
-        assert_eq!(batch[1..], vec![failure("fence-shape-batch"); 3]);
+        assert_eq!(batch[1..], vec![failure("wreck-batch"); 3]);
     }
 }

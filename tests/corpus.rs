@@ -25,6 +25,18 @@
 //!     dna diff $w.snap.dna $w.trace.dna --out $w.report.dna
 //! done
 //! ```
+//!
+//! `ft4_rebind` pins ACL rebinding edge cases on a k=4 OSPF fat-tree: an
+//! interface rebound twice in one epoch (only the end state may shape the
+//! reported packet classes), an interface rebound to the ACL it already
+//! has (no effect), and an epoch editing several devices listed in
+//! reverse name order. Its trace is hand-written; its report comes from
+//! the from-scratch analyzer, the oracle:
+//! ```sh
+//! dna dump --topo fat-tree --k 4 --routing ospf --out ft4_rebind.snap.dna
+//! dna diff ft4_rebind.snap.dna ft4_rebind.trace.dna --engine scratch \
+//!     --out ft4_rebind.report.dna
+//! ```
 
 use dna_core::{ReplayMode, ReplaySession};
 use dna_io::{
@@ -57,6 +69,12 @@ const CORPUS: &[Workload] = &[
         snapshot: include_str!("corpus/wan16_mixed.snap.dna"),
         trace: include_str!("corpus/wan16_mixed.trace.dna"),
         report: include_str!("corpus/wan16_mixed.report.dna"),
+    },
+    Workload {
+        name: "ft4_rebind",
+        snapshot: include_str!("corpus/ft4_rebind.snap.dna"),
+        trace: include_str!("corpus/ft4_rebind.trace.dna"),
+        report: include_str!("corpus/ft4_rebind.report.dna"),
     },
 ];
 

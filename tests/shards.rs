@@ -31,6 +31,12 @@ const CORPUS: &[(&str, &str, &str, &str)] = &[
         include_str!("corpus/wan16_mixed.trace.dna"),
         include_str!("corpus/wan16_mixed.report.dna"),
     ),
+    (
+        "ft4_rebind",
+        include_str!("corpus/ft4_rebind.snap.dna"),
+        include_str!("corpus/ft4_rebind.trace.dna"),
+        include_str!("corpus/ft4_rebind.report.dna"),
+    ),
 ];
 
 #[test]
